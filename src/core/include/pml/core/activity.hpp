@@ -41,9 +41,9 @@ struct ActivityOptions {
   /// warm-up round over more counted samples but expose less lane
   /// parallelism for a given sample count (utilization needs
   /// >= kLanes x chunk_samples samples per batch).  0 = auto: sized from
-  /// the sample count and the auto-resolved backend's lane width
-  /// (clamped to [4, 16]); the resolution is a process-wide constant, so
-  /// the merged counts stay identical across backends and runs.
+  /// the sample count alone against a fixed 512-lane reference width
+  /// (clamped to [4, 16]), so the merged counts stay identical across
+  /// backends, hosts and runs.
   std::size_t chunk_samples = 0;
   /// Event-simulator tick (ms); must match the scalar reference for
   /// bit-exact equivalence.

@@ -19,7 +19,7 @@
 // optimization disabled, module validation skipped
 // (EvaluateOptions::validate_module = false), and no tracer attached;
 // other configurations still reuse the pools, they just also pay for
-// std::thread spawns and optimizer passes.
+// util::TaskPool group dispatch and optimizer passes.
 //
 // Thread safety: an EvalContext serves ONE evaluation at a time (its
 // worker slots are handed to that evaluation's threads); use one context

@@ -11,21 +11,23 @@ namespace pml::core {
 
 namespace {
 
-/// chunk_samples == 0 resolves here.  The chunk size is picked from the
-/// *auto-resolved* backend's lane width — deliberately not from
-/// options.backend — so auto-chunking is one process-wide constant and
-/// every backend chunks (and therefore counts) identically: chunking
-/// feeds both the determinism contract and the svc cache, whose digest
-/// excludes the backend knob on the strength of cross-backend
-/// bit-exactness.  Small workloads get small chunks (more lanes busy in
-/// the single batch that covers them); the floor of 4 keeps the warm-up
-/// round — which replays each chunk's first sample without counting it —
-/// amortized over at least three counted samples per chunk.
+/// chunk_samples == 0 resolves here, as a pure function of the sample
+/// count: chunks are sized against a fixed 512-lane reference width (the
+/// widest backend), never against the backend in use or the one the host
+/// would auto-resolve.  Chunking decides which samples share a warm-up
+/// round, so it feeds the merged counts; keeping it independent of the
+/// CPU, PML_SIM_BACKEND and options.backend is what makes every backend
+/// count identically on every host — the determinism contract, and the
+/// reason the svc cache digest may leave the backend out.  Small
+/// workloads get small chunks (more lanes busy in the single batch that
+/// covers them); the floor of 4 keeps the warm-up round — which replays
+/// each chunk's first sample without counting it — amortized over at
+/// least three counted samples per chunk.
 std::size_t resolve_chunk_samples(std::size_t requested, std::size_t n) {
   if (requested != 0) return requested;
-  const std::size_t lanes =
-      sim::backend_lanes(sim::resolve_backend(sim::Backend::kAuto));
-  const std::size_t per_lane = (n + 4 * lanes - 1) / (4 * lanes);
+  constexpr std::size_t kReferenceLanes = 512;
+  const std::size_t per_lane =
+      (n + 4 * kReferenceLanes - 1) / (4 * kReferenceLanes);
   return std::clamp<std::size_t>(per_lane, 4, 16);
 }
 

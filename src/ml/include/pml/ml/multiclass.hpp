@@ -8,6 +8,10 @@
 //   OvR: argmax of decision values, first maximum on ties.
 //   OvO: majority vote; classifier (i,j) votes i iff decision > 0;
 //        vote ties resolve to the lowest class index.
+//
+// Training fans out on the shared util::TaskPool (per class, per pair,
+// and per train_tuned grid candidate).  Every result is merged by index,
+// so trained models are bit-identical for any pool width.
 
 #include <cstdint>
 #include <utility>

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "pml/ml/rng.hpp"
+#include "pml/obs/metrics.hpp"
 
 namespace pml::ml {
 
@@ -21,11 +22,15 @@ BinarySvm train_binary_svm(const std::vector<std::vector<double>>& X,
                            const std::vector<int>& y,
                            const SvmTrainOptions& options,
                            const std::vector<double>& per_sample_c) {
+  PML_OBS_COUNT("ml.svm.fits", 1);
   if (X.empty() || X.size() != y.size()) {
     throw std::invalid_argument("train_binary_svm: bad inputs");
   }
   if (!per_sample_c.empty() && per_sample_c.size() != X.size()) {
     throw std::invalid_argument("train_binary_svm: per_sample_c size");
+  }
+  if (!(options.C > 0.0) || !std::isfinite(options.C)) {
+    throw std::invalid_argument("train_binary_svm: C must be positive");
   }
   const std::size_t n = X.size();
   const std::size_t m = X[0].size();

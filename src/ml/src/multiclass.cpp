@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "pml/ml/metrics.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::ml {
 
@@ -70,6 +71,11 @@ std::vector<double> balanced_weights(const Dataset& train) {
 
 }  // namespace
 
+// Training fans out on the shared util::TaskPool: one slot per OvR class
+// or OvO pair.  Each slot writes its classifier by index and derives its
+// seed from that index alone, so a model does not depend on the pool
+// width or on which worker ran which slot.
+
 MulticlassSvm train_one_vs_rest(const Dataset& train,
                                 const MulticlassTrainOptions& options) {
   if (train.num_classes < 2) {
@@ -78,22 +84,26 @@ MulticlassSvm train_one_vs_rest(const Dataset& train,
   MulticlassSvm model;
   model.strategy = MulticlassStrategy::kOneVsRest;
   model.num_classes = train.num_classes;
+  model.classifiers.resize(static_cast<std::size_t>(train.num_classes));
 
   const auto class_w =
       options.class_balanced ? balanced_weights(train) : std::vector<double>{};
 
-  for (int k = 0; k < train.num_classes; ++k) {
-    std::vector<int> y(train.size());
-    std::vector<double> cw;
-    if (!class_w.empty()) cw.resize(train.size());
-    for (std::size_t i = 0; i < train.size(); ++i) {
-      y[i] = (train.y[i] == k) ? +1 : -1;
-      if (!cw.empty()) cw[i] = class_w[static_cast<std::size_t>(train.y[i])];
-    }
-    SvmTrainOptions opts = options.base;
-    opts.seed = options.base.seed + static_cast<std::uint64_t>(k) * 7919;
-    model.classifiers.push_back(train_binary_svm(train.X, y, opts, cw));
-  }
+  util::TaskPool::instance().run_group(
+      model.classifiers.size(), "ml.ovr", [&](std::size_t k) {
+        std::vector<int> y(train.size());
+        std::vector<double> cw;
+        if (!class_w.empty()) cw.resize(train.size());
+        for (std::size_t i = 0; i < train.size(); ++i) {
+          y[i] = (train.y[i] == static_cast<int>(k)) ? +1 : -1;
+          if (!cw.empty()) {
+            cw[i] = class_w[static_cast<std::size_t>(train.y[i])];
+          }
+        }
+        SvmTrainOptions opts = options.base;
+        opts.seed = options.base.seed + static_cast<std::uint64_t>(k) * 7919;
+        model.classifiers[k] = train_binary_svm(train.X, y, opts, cw);
+      });
   return model;
 }
 
@@ -105,31 +115,36 @@ MulticlassSvm train_one_vs_one(const Dataset& train,
   MulticlassSvm model;
   model.strategy = MulticlassStrategy::kOneVsOne;
   model.num_classes = train.num_classes;
+  for (int i = 0; i < train.num_classes; ++i) {
+    for (int j = i + 1; j < train.num_classes; ++j) {
+      model.pairs.emplace_back(i, j);
+    }
+  }
+  model.classifiers.resize(model.pairs.size());
 
   const auto class_w =
       options.class_balanced ? balanced_weights(train) : std::vector<double>{};
 
-  for (int i = 0; i < train.num_classes; ++i) {
-    for (int j = i + 1; j < train.num_classes; ++j) {
-      std::vector<std::vector<double>> X;
-      std::vector<int> y;
-      std::vector<double> cw;
-      for (std::size_t s = 0; s < train.size(); ++s) {
-        if (train.y[s] == i || train.y[s] == j) {
-          X.push_back(train.X[s]);
-          y.push_back(train.y[s] == i ? +1 : -1);
-          if (!class_w.empty()) {
-            cw.push_back(class_w[static_cast<std::size_t>(train.y[s])]);
+  util::TaskPool::instance().run_group(
+      model.pairs.size(), "ml.ovo", [&](std::size_t t) {
+        const auto [i, j] = model.pairs[t];
+        std::vector<std::vector<double>> X;
+        std::vector<int> y;
+        std::vector<double> cw;
+        for (std::size_t s = 0; s < train.size(); ++s) {
+          if (train.y[s] == i || train.y[s] == j) {
+            X.push_back(train.X[s]);
+            y.push_back(train.y[s] == i ? +1 : -1);
+            if (!class_w.empty()) {
+              cw.push_back(class_w[static_cast<std::size_t>(train.y[s])]);
+            }
           }
         }
-      }
-      SvmTrainOptions opts = options.base;
-      opts.seed = options.base.seed +
-                  static_cast<std::uint64_t>(i * 131 + j) * 7919;
-      model.pairs.emplace_back(i, j);
-      model.classifiers.push_back(train_binary_svm(X, y, opts, cw));
-    }
-  }
+        SvmTrainOptions opts = options.base;
+        opts.seed = options.base.seed +
+                    static_cast<std::uint64_t>(i * 131 + j) * 7919;
+        model.classifiers[t] = train_binary_svm(X, y, opts, cw);
+      });
   return model;
 }
 
@@ -186,38 +201,31 @@ MulticlassSvm train_tuned(const Dataset& train, MulticlassStrategy strategy,
   if (c_grid.empty()) throw std::invalid_argument("train_tuned: empty grid");
   const Split val_split = stratified_split(train, 1.0 - validation_fraction,
                                            seed ^ 0xC0FFEEull);
-  double best_acc = -1.0;
-  double best_c = c_grid.front();
-  bool best_balanced = false;
-  const std::vector<bool> balanced_grid =
-      search_balanced ? std::vector<bool>{false, true}
-                      : std::vector<bool>{false};
-  for (const bool balanced : balanced_grid) {
-    for (const double c : c_grid) {
-      MulticlassTrainOptions opts;
-      opts.base.C = c;
-      opts.base.seed = seed;
-      opts.class_balanced = balanced;
-      const MulticlassSvm candidate =
-          strategy == MulticlassStrategy::kOneVsRest
-              ? train_one_vs_rest(val_split.train, opts)
-              : train_one_vs_one(val_split.train, opts);
-      const double acc =
-          accuracy(candidate.predict_all(val_split.test.X), val_split.test.y);
-      if (acc > best_acc) {
-        best_acc = acc;
-        best_c = c;
-        best_balanced = balanced;
-      }
-    }
+  const auto fit = [&](const Dataset& data, std::size_t candidate) {
+    MulticlassTrainOptions opts;
+    opts.base.C = c_grid[candidate % c_grid.size()];
+    opts.base.seed = seed;
+    opts.class_balanced = candidate >= c_grid.size();
+    return strategy == MulticlassStrategy::kOneVsRest
+               ? train_one_vs_rest(data, opts)
+               : train_one_vs_one(data, opts);
+  };
+  // Candidate i = b * |C| + c (b = 1: class-balanced) fits in its own pool
+  // slot; the per-class fan-outs nested inside run inline when the pool is
+  // busy.  The winner is the first maximum in candidate order, exactly as
+  // in a serial scan.
+  std::vector<double> accs((search_balanced ? 2 : 1) * c_grid.size());
+  util::TaskPool::instance().run_group(
+      accs.size(), "ml.train_tuned", [&](std::size_t i) {
+        const MulticlassSvm candidate = fit(val_split.train, i);
+        accs[i] = accuracy(candidate.predict_all(val_split.test.X),
+                           val_split.test.y);
+      });
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < accs.size(); ++i) {
+    if (accs[i] > accs[best]) best = i;
   }
-  MulticlassTrainOptions opts;
-  opts.base.C = best_c;
-  opts.base.seed = seed;
-  opts.class_balanced = best_balanced;
-  return strategy == MulticlassStrategy::kOneVsRest
-             ? train_one_vs_rest(train, opts)
-             : train_one_vs_one(train, opts);
+  return fit(train, best);
 }
 
 }  // namespace pml::ml

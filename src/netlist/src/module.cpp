@@ -106,7 +106,7 @@ std::optional<NetId> Module::fold(CellType type, NetId a, NetId b, NetId s) {
 
 NetId Module::add_gate(CellType type, NetId a, NetId b, NetId s) {
   assert(type != CellType::kDff && "use Module::dff for flip-flops");
-  const int arity = cell_num_inputs(type);
+  [[maybe_unused]] const int arity = cell_num_inputs(type);
   assert(a != kInvalidNet);
   assert(arity < 2 || b != kInvalidNet);
   assert(arity < 3 || s != kInvalidNet);

@@ -38,9 +38,7 @@ RunManifest RunManifest::collect() {
   gmtime_r(&now, &utc);
 #endif
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
-                utc.tm_min, utc.tm_sec);
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &utc);
   m.timestamp_utc = buf;
   return m;
 }

@@ -363,6 +363,42 @@ TEST(SimBackendEquivalence, MergedActivityMatchesU64) {
   }
 }
 
+// Auto chunk sizing (chunk_samples = 0) is a pure function of the sample
+// count: neither the host's widest backend nor PML_SIM_BACKEND may move
+// it, even with the backend pinned.  24, 300 and 1500 straddle the clamp
+// boundaries; at 1500 a chunk size derived from the resolved lane width
+// would differ between u64 (6) and AVX-512 (4).
+TEST(SimBackendEquivalence, AutoChunkingIgnoresBackendEnvironment) {
+  const QuantizedSvm q = random_svm(3, 3, 3, 4, 29);
+  auto circuit = arch::build_sequential_svm(q);
+  const auto lib = cells::CellLibrary::egfet();
+  const auto wl = svm_workload(
+      q, random_samples(1500, 3, q.input_format.max_code(), 67));
+  for (const std::size_t n : {24u, 300u, 1500u}) {
+    SCOPED_TRACE(n);
+    ActivityOptions opts;
+    opts.backend = Backend::kU64;
+    const auto run = [&] {
+      return collect_activity(circuit.module, lib,
+                              circuit.cycles_per_inference, wl, n, opts);
+    };
+    sim::ActivityStats ref;
+    {
+      const ScopedBackendEnv env(nullptr);
+      ref = run();
+    }
+    for (const Backend b : sim::available_backends()) {
+      SCOPED_TRACE(sim::backend_name(b));
+      const ScopedBackendEnv env(sim::backend_name(b));
+      const sim::ActivityStats got = run();
+      EXPECT_EQ(got.net_toggles, ref.net_toggles);
+      EXPECT_EQ(got.net_functional, ref.net_functional);
+      EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
+      EXPECT_EQ(got.cycles, ref.cycles);
+    }
+  }
+}
+
 TEST(SimBackendEquivalence, FaultCampaignMatchesU64AcrossVariantBoundaries) {
   const auto wide = wide_backends();
   if (wide.empty()) GTEST_SKIP() << "no wide SIMD backend on this machine";
