@@ -60,8 +60,8 @@ struct ActivityOptions {
   /// Optional cooperative cancellation, checked between worker batches
   /// (throws util::Cancelled).  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
-  /// SWAR lane-word backend (kAuto = widest available; see
-  /// sim::resolve_backend).  Bit-exact against u64 by construction, so
+  /// SWAR lane-word backend (kAuto = u64 when every chunk fits its 64
+  /// lanes, else the widest available; see sim::resolve_backend).  Bit-exact against u64 by construction, so
   /// the merged ActivityStats never depend on it.
   sim::Backend backend = sim::Backend::kAuto;
 };

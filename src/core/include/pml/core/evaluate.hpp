@@ -68,7 +68,8 @@ struct EvaluateOptions {
   std::size_t flow_probe_samples = 48;
   /// SIMD lane-word backend for the verify and activity phases (and the
   /// cost-model probe replays).  kAuto picks the widest backend the CPU
-  /// supports; results are bit-identical across backends — only
+  /// supports, except that an activity replay whose chunks fit 64 lanes
+  /// runs on u64; results are bit-identical across backends — only
   /// throughput changes.
   sim::Backend backend = sim::Backend::kAuto;
   /// Optional cooperative cancellation: checked at every phase boundary

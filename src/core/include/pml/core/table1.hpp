@@ -20,8 +20,11 @@ struct Table1Options {
   std::vector<ml::UciProfile> profiles;
   /// Event-sim samples per design (power estimation).
   std::size_t power_samples = 96;
-  /// Worker threads for the verify and power-replay fan-outs (0 = one per
-  /// hardware thread).  Benches pin this for reproducible traces.
+  /// Worker threads for the verify and power-replay fan-outs, and whether
+  /// each dataset's four designs build concurrently on the shared pool
+  /// (0 = one per hardware thread, designs concurrent; 1 = everything
+  /// serial).  Rows and summary do not depend on it.  Benches pin this
+  /// for reproducible traces.
   std::size_t num_threads = 0;
   /// Run the three baselines too (true for Table I; the flow alone needs
   /// only "Ours").

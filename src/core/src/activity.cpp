@@ -88,14 +88,17 @@ void collect_activity_into(sim::ActivityStats& out,
   job.samples = &workload.feature_codes;
   job.num_samples = n;
   job.chunk_samples = resolve_chunk_samples(options.chunk_samples, n);
+  job.num_chunks = (n + job.chunk_samples - 1) / job.chunk_samples;
   job.num_threads = options.num_threads;
   job.context = options.context;
 
   // Chunking is deterministic in chunk_samples alone; only the grouping
   // of chunks into batches (and so the thread clamp) depends on the
   // backend's lane width, and the merged counts are invariant to it.
-  const backends::Kernels& k =
-      backends::kernels_for(sim::resolve_backend(options.backend));
+  // That frees kAuto to dispatch by occupancy: chunks that fit one u64
+  // word replay on u64 rather than a mostly idle wide word.
+  const backends::Kernels& k = backends::kernels_for(
+      sim::resolve_backend(options.backend, job.num_chunks));
   k.activity(job, out);
 }
 

@@ -210,6 +210,10 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   constexpr std::size_t kLanes = L::kWidth;
   const std::size_t chunk_begin = batch * kLanes;
   const std::size_t lanes = std::min(kLanes, num_chunks - chunk_begin);
+  // Occupancy: chunk-carrying lanes, against the lane words the engine
+  // evaluates (sim.batch_event.lane_words).  Sums to the chunk count on
+  // every backend.
+  PML_OBS_COUNT("sim.batch_event.live_lanes", lanes);
   std::uint64_t lane_values[kLanes];
   std::uint64_t mask[L::kChunks];
 
@@ -269,7 +273,7 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   const std::vector<const netlist::Port*>& ports = *job.ports;
   const std::size_t n = job.num_samples;
   const std::size_t chunk = job.chunk_samples;
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
+  const std::size_t num_chunks = job.num_chunks;
   const std::size_t num_batches = (num_chunks + kLanes - 1) / kLanes;
   const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
 

@@ -55,6 +55,8 @@ struct ActivityJob : JobBase {
   const std::vector<std::vector<std::int64_t>>* samples = nullptr;
   std::size_t num_samples = 0;
   std::size_t chunk_samples = 0;
+  /// ceil(num_samples / chunk_samples): one lane stream per chunk.
+  std::size_t num_chunks = 0;
   std::size_t num_threads = 0;
   EvalContext* context = nullptr;
 };

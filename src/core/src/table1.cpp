@@ -1,11 +1,14 @@
 #include "pml/core/table1.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "pml/arch/battery.hpp"
 #include "pml/core/baselines.hpp"
 #include "pml/core/flow.hpp"
 #include "pml/ml/scaler.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::core {
 
@@ -54,6 +57,13 @@ Table1Result run_table1(const cells::CellLibrary& lib,
     double a2 = 0.0, a3 = 0.0, a4 = 0.0;
   };
   std::vector<PerDataset> per_ds;
+  const auto with_evaluate = [&](EvaluateOptions e) {
+    e.power_samples = options.power_samples;
+    e.power_threads = options.num_threads;
+    e.verify.num_threads = options.num_threads;
+    e.backend = options.backend;
+    return e;
+  };
 
   for (const ml::UciProfile profile : profiles) {
     const ml::Dataset raw = ml::make_uci_like(profile, options.data_seed);
@@ -65,74 +75,79 @@ Table1Result run_table1(const cells::CellLibrary& lib,
     const ml::Dataset test = scaler.transform(split.test);
     const std::string ds_name = ml::profile_info(profile).name;
 
-    PerDataset pd;
-
-    // --- Ours ---------------------------------------------------------------
+    // Ours; SVM [2], exact parallel OvO; SVM [3], cross-approximated
+    // parallel OvO; MLP [4], approximate bespoke MLP.
     SequentialSvmFlowOptions fopts;
     fopts.seed = options.train_seed;
-    fopts.evaluate.power_samples = options.power_samples;
-    fopts.evaluate.power_threads = options.num_threads;
-    fopts.evaluate.verify.num_threads = options.num_threads;
-    fopts.evaluate.backend = options.backend;
+    fopts.evaluate = with_evaluate(fopts.evaluate);
     fopts.precision.num_threads = options.num_threads;
     fopts.flow = options.flow;
-    SequentialSvmDesign ours = design_sequential_svm(train, test, lib, fopts);
-    ours.hw.dataset = ds_name;
-    pd.ours_energy = ours.hw.energy_mj;
-    pd.ours_acc = ours.hw.accuracy;
+    ParallelSvmBaselineOptions p2;
+    p2.seed = options.train_seed;
+    p2.evaluate = with_evaluate(p2.evaluate);
+    ParallelSvmBaselineOptions p3 = p2;
+    p3.approx_csd_digits = 1;
+    MlpBaselineOptions p4 = mlp_baseline_options_for(profile);
+    p4.seed = options.train_seed;
+    p4.evaluate = with_evaluate(p4.evaluate);
+
+    // The designs are independent, so they build as one pool group, each
+    // slot filling its own result; Ours is slot 0, so the longest design
+    // starts first and the others' workers steal its nested training and
+    // replay fan-outs as they finish.  Results are read back below in a
+    // fixed order, so rows and summary do not depend on scheduling.
+    std::optional<SequentialSvmDesign> ours;
+    std::optional<ParallelSvmBaseline> b2, b3;
+    std::optional<MlpBaseline> b4;
+    const auto build = [&](std::size_t slot) {
+      switch (slot) {
+        case 0:
+          ours.emplace(design_sequential_svm(train, test, lib, fopts));
+          break;
+        case 1:
+          b2.emplace(build_parallel_svm_baseline(train, test, lib, p2));
+          break;
+        case 2:
+          b3.emplace(build_parallel_svm_baseline(train, test, lib, p3));
+          break;
+        default:
+          b4.emplace(build_mlp_baseline(train, test, lib, p4));
+          break;
+      }
+    };
+    const std::size_t designs = options.include_baselines ? 4 : 1;
+    if (options.num_threads == 1) {
+      for (std::size_t slot = 0; slot < designs; ++slot) build(slot);
+    } else {
+      util::TaskPool::instance().run_group(designs, "table1.design", build);
+    }
+
+    PerDataset pd;
+    ours->hw.dataset = ds_name;
+    pd.ours_energy = ours->hw.energy_mj;
+    pd.ours_acc = ours->hw.accuracy;
     result.summary.ours_peak_power_mw =
-        std::max(result.summary.ours_peak_power_mw, ours.hw.power_mw);
-    result.summary.ours_avg_power_mw += ours.hw.power_mw;
-    result.summary.ours_avg_energy_mj += ours.hw.energy_mj;
+        std::max(result.summary.ours_peak_power_mw, ours->hw.power_mw);
+    result.summary.ours_avg_power_mw += ours->hw.power_mw;
+    result.summary.ours_avg_energy_mj += ours->hw.energy_mj;
     ++result.summary.ours_total;
-    if (battery.can_power(ours.hw.power_mw)) ++result.summary.ours_feasible;
+    if (battery.can_power(ours->hw.power_mw)) ++result.summary.ours_feasible;
 
     if (options.include_baselines) {
-      // --- SVM [2]: exact parallel OvO --------------------------------------
-      ParallelSvmBaselineOptions p2;
-      p2.seed = options.train_seed;
-      p2.evaluate.power_samples = options.power_samples;
-      p2.evaluate.power_threads = options.num_threads;
-      p2.evaluate.verify.num_threads = options.num_threads;
-      p2.evaluate.backend = options.backend;
-      ParallelSvmBaseline b2 =
-          build_parallel_svm_baseline(train, test, lib, p2);
-      b2.hw.dataset = ds_name;
-      pd.e2 = b2.hw.energy_mj;
-      pd.a2 = b2.hw.accuracy;
-      ++result.summary.sota_total;
-      if (battery.can_power(b2.hw.power_mw)) ++result.summary.sota_feasible;
-
-      // --- SVM [3]: cross-approximated parallel OvO -------------------------
-      ParallelSvmBaselineOptions p3 = p2;
-      p3.approx_csd_digits = 1;
-      ParallelSvmBaseline b3 =
-          build_parallel_svm_baseline(train, test, lib, p3);
-      b3.hw.dataset = ds_name;
-      pd.e3 = b3.hw.energy_mj;
-      pd.a3 = b3.hw.accuracy;
-      ++result.summary.sota_total;
-      if (battery.can_power(b3.hw.power_mw)) ++result.summary.sota_feasible;
-
-      // --- MLP [4]: approximate bespoke MLP ---------------------------------
-      MlpBaselineOptions p4 = mlp_baseline_options_for(profile);
-      p4.seed = options.train_seed;
-      p4.evaluate.power_samples = options.power_samples;
-      p4.evaluate.power_threads = options.num_threads;
-      p4.evaluate.verify.num_threads = options.num_threads;
-      p4.evaluate.backend = options.backend;
-      MlpBaseline b4 = build_mlp_baseline(train, test, lib, p4);
-      b4.hw.dataset = ds_name;
-      pd.e4 = b4.hw.energy_mj;
-      pd.a4 = b4.hw.accuracy;
-      ++result.summary.sota_total;
-      if (battery.can_power(b4.hw.power_mw)) ++result.summary.sota_feasible;
-
-      result.rows.push_back(b2.hw);
-      result.rows.push_back(b3.hw);
-      result.rows.push_back(b4.hw);
+      const auto add_baseline = [&](HardwareReport& hw, double& energy,
+                                    double& acc) {
+        hw.dataset = ds_name;
+        energy = hw.energy_mj;
+        acc = hw.accuracy;
+        ++result.summary.sota_total;
+        if (battery.can_power(hw.power_mw)) ++result.summary.sota_feasible;
+        result.rows.push_back(std::move(hw));
+      };
+      add_baseline(b2->hw, pd.e2, pd.a2);
+      add_baseline(b3->hw, pd.e3, pd.a3);
+      add_baseline(b4->hw, pd.e4, pd.a4);
     }
-    result.rows.push_back(ours.hw);
+    result.rows.push_back(std::move(ours->hw));
     per_ds.push_back(pd);
   }
 

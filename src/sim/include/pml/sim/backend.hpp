@@ -7,24 +7,31 @@
 // is the runtime face of that split: a Backend enum threaded through
 // core::EvaluateOptions / VerifyOptions / ActivityOptions /
 // FaultCampaignOptions (and the benches' --backend flag), plus the
-// resolution logic that turns kAuto into the widest backend that is both
+// resolution logic that turns kAuto into a concrete backend that is both
 // compiled in (PML_SIM_HAVE_AVX2 / PML_SIM_HAVE_AVX512, set by CMake) and
-// supported by the CPU we are running on (CPUID).
+// supported by the CPU we are running on (CPUID).  By default kAuto is
+// the widest such backend; activity replay passes its lane-stream count
+// and gets u64 when that count fits 64 lanes (a wide word with a handful
+// of live lanes does the same work at higher cost per word and carries
+// larger engine state), the widest otherwise.
 //
 // Every backend is proven bit-exact lane-for-lane against the u64
 // reference (tests/test_sim_backend.cpp), so the choice can never change
 // results — only throughput.  That is why the sweep-service cache key
 // deliberately excludes it, like the threading knobs.
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 namespace pml::sim {
 
 enum class Backend : std::uint8_t {
-  kAuto = 0,  ///< widest compiled+supported backend (PML_SIM_BACKEND
-              ///< environment variable overrides, e.g. =u64 in CI)
+  kAuto = 0,  ///< widest compiled+supported backend, or u64 when the
+              ///< work's known lane count fits 64 lanes
+              ///< (PML_SIM_BACKEND overrides, e.g. =u64 in CI)
   kU64 = 1,   ///< 64-lane scalar SWAR — always available, the reference
   kAvx2 = 2,  ///< 256-lane __m256i
   kAvx512 = 3,  ///< 512-lane __m512i
@@ -59,11 +66,16 @@ enum class Backend : std::uint8_t {
 ///   - kAuto: honor the PML_SIM_BACKEND environment variable when set
 ///     ("u64"/"avx2"/"avx512" must be available or this throws — a
 ///     misconfigured CI leg must fail loudly, not silently fall back;
-///     "auto" and empty mean no override), otherwise pick the widest
-///     available backend.
+///     "auto" and empty mean no override).  Otherwise pick kU64 when the
+///     work's `needed_lanes` independent lane streams fit its 64 lanes
+///     (activity replay passes its chunk count), else the widest
+///     available backend — always the widest when no count is given.
 ///   - concrete: returned as-is when available, otherwise throws
 ///     std::runtime_error naming what is missing (not compiled vs not
 ///     supported by the CPU).
-[[nodiscard]] Backend resolve_backend(Backend requested);
+/// Allocation-free, so the zero-allocation evaluation path may call it.
+[[nodiscard]] Backend resolve_backend(
+    Backend requested,
+    std::size_t needed_lanes = std::numeric_limits<std::size_t>::max());
 
 }  // namespace pml::sim

@@ -1,11 +1,12 @@
 // Table I driver: smoke test on the cheapest dataset, summary arithmetic,
-// paper-reference lookups.
+// paper-reference lookups, and concurrent-vs-serial design builds.
 
 #include <gtest/gtest.h>
 
 #include "pml/core/baselines.hpp"
 #include "pml/core/paper_reference.hpp"
 #include "pml/core/table1.hpp"
+#include "report_test_util.hpp"
 
 namespace pml::core {
 namespace {
@@ -84,6 +85,43 @@ TEST(Table1, OursOnlyModeSkipsBaselines) {
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_EQ(result.rows[0].model, "Ours");
   EXPECT_EQ(result.summary.sota_total, 0);
+}
+
+// num_threads = 0 builds each dataset's four designs concurrently on the
+// shared pool; num_threads = 1 builds them one after another.  Rows (in
+// their fixed order) and the summary must not tell the two apart.
+TEST(Table1, ConcurrentDesignsMatchSerialRows) {
+  Table1Options opts;
+  opts.profiles = {ml::UciProfile::kCardio};
+  opts.power_samples = 8;
+  const auto lib = cells::CellLibrary::egfet();
+  opts.num_threads = 0;
+  const Table1Result concurrent = run_table1(lib, opts);
+  opts.num_threads = 1;
+  const Table1Result serial = run_table1(lib, opts);
+
+  ASSERT_EQ(concurrent.rows.size(), 4u);
+  ASSERT_EQ(serial.rows.size(), concurrent.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    SCOPED_TRACE(serial.rows[i].model);
+    testutil::expect_reports_equal(concurrent.rows[i], serial.rows[i]);
+  }
+  const Table1Summary& c = concurrent.summary;
+  const Table1Summary& s = serial.summary;
+  EXPECT_EQ(c.ours_peak_power_mw, s.ours_peak_power_mw);
+  EXPECT_EQ(c.ours_avg_power_mw, s.ours_avg_power_mw);
+  EXPECT_EQ(c.ours_avg_energy_mj, s.ours_avg_energy_mj);
+  EXPECT_EQ(c.energy_gain_vs_svm2, s.energy_gain_vs_svm2);
+  EXPECT_EQ(c.energy_gain_vs_svm3, s.energy_gain_vs_svm3);
+  EXPECT_EQ(c.energy_gain_vs_mlp4, s.energy_gain_vs_mlp4);
+  EXPECT_EQ(c.energy_gain_overall, s.energy_gain_overall);
+  EXPECT_EQ(c.acc_delta_vs_svm2, s.acc_delta_vs_svm2);
+  EXPECT_EQ(c.acc_delta_vs_svm3, s.acc_delta_vs_svm3);
+  EXPECT_EQ(c.acc_delta_vs_mlp4, s.acc_delta_vs_mlp4);
+  EXPECT_EQ(c.ours_feasible, s.ours_feasible);
+  EXPECT_EQ(c.ours_total, s.ours_total);
+  EXPECT_EQ(c.sota_feasible, s.sota_feasible);
+  EXPECT_EQ(c.sota_total, s.sota_total);
 }
 
 }  // namespace

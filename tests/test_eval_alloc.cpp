@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -63,16 +64,16 @@ TEST(EvalAlloc, HookIsLive) {
   EXPECT_GT(util::thread_alloc_count(), before);
 }
 
-TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {
+/// Heap allocations of the third pooled evaluation of `wl` (the first
+/// binds the pools, the second settles every capacity high-water mark).
+std::uint64_t steady_state_allocs(const CircuitWorkload& wl,
+                                  const EvaluateOptions& opts) {
   const auto q = tiny_model();
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
-  const auto wl = tiny_workload(q);
-  const auto opts = zero_alloc_options();
 
   EvalContext ctx;
   HardwareReport rep;
-  // Warm-up: bind pools, then settle every capacity high-water mark.
   evaluate_circuit_into(ctx, rep, circuit.module, circuit.cycles_per_inference,
                         lib, wl, opts);
   evaluate_circuit_into(ctx, rep, circuit.module, circuit.cycles_per_inference,
@@ -82,12 +83,38 @@ TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {
   evaluate_circuit_into(ctx, rep, circuit.module, circuit.cycles_per_inference,
                         lib, wl, opts);
   const std::uint64_t steady_allocs = util::thread_alloc_count() - before;
-  EXPECT_EQ(steady_allocs, 0u);
 
   // The pooled evaluation still produced a full, correct report.
   EXPECT_TRUE(rep.verified);
   EXPECT_EQ(rep.verified_samples, wl.feature_codes.size());
   EXPECT_GT(rep.energy_mj, 0.0);
+  return steady_allocs;
+}
+
+TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {
+  const auto q = tiny_model();
+  EXPECT_EQ(steady_state_allocs(tiny_workload(q), zero_alloc_options()), 0u);
+}
+
+// 512 power samples replay as 128 chunks, more than one u64 word holds, so
+// activity runs on a wide engine (where the CPU has one) beside the wide
+// verify engine.  Both must stay pooled in the same worker scratch: a
+// replay that resolved to a different wide backend than verification
+// would evict and rebuild the pair on every evaluation.
+TEST(EvalAlloc, SteadyStateWideReplayIsAllocationFree) {
+  const auto q = tiny_model();
+  const CircuitWorkload grid = tiny_workload(q);
+  CircuitWorkload wl;
+  for (int rep = 0; rep < 8; ++rep) {
+    wl.feature_codes.insert(wl.feature_codes.end(), grid.feature_codes.begin(),
+                            grid.feature_codes.end());
+    wl.expected_class.insert(wl.expected_class.end(),
+                             grid.expected_class.begin(),
+                             grid.expected_class.end());
+  }
+  EvaluateOptions opts = zero_alloc_options();
+  opts.power_samples = wl.feature_codes.size();
+  EXPECT_EQ(steady_state_allocs(wl, opts), 0u);
 }
 
 TEST(EvalAlloc, PooledAndFreshReportsAgree) {

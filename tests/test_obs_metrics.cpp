@@ -2,7 +2,8 @@
 // path, snapshot/diff semantics (clamping, after-only metrics), histogram
 // bucketing, and the determinism contract — a fixed simulation workload
 // produces the identical counter delta on every run, because counters
-// count work items, never time.
+// count work items, never time (the pool's two scheduling counters
+// excepted).
 
 #include <gtest/gtest.h>
 
@@ -143,12 +144,27 @@ TEST(ObsMetrics, FixedWorkloadCounterDeltasAreDeterministic) {
   EXPECT_GT(first.counter_value("opt.pass.applications"), 0u);
 
   // Work-item counters are independent of scheduling, thread interleaving
-  // and wall time: identical workload, identical deltas.
-  ASSERT_EQ(first.counters.size(), second.counters.size());
-  for (std::size_t i = 0; i < first.counters.size(); ++i) {
-    EXPECT_EQ(first.counters[i].first, second.counters[i].first);
-    EXPECT_EQ(first.counters[i].second, second.counters[i].second)
-        << "counter " << first.counters[i].first
+  // and wall time: identical workload, identical deltas.  The pool's
+  // scheduling counters are not work items — an idle worker parks, or a
+  // thief takes a ticket, on its own schedule (a worker that went idle
+  // after the training fan-outs above may park inside the window) — so
+  // they are left out of the comparison (docs/observability.md).
+  const auto work_items = [](const MetricsSnapshot& snap) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& c : snap.counters) {
+      if (c.first != "pool.parked" && c.first != "pool.steals") {
+        out.push_back(c);
+      }
+    }
+    return out;
+  };
+  const auto a = work_items(first);
+  const auto b = work_items(second);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first);
+    EXPECT_EQ(a[i].second, b[i].second)
+        << "counter " << a[i].first
         << " is not deterministic for a fixed workload";
   }
 }

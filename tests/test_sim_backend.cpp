@@ -1,8 +1,9 @@
 // SIMD backend contract: enum plumbing (names, lanes, resolution, the
-// PML_SIM_BACKEND environment override), and — the load-bearing part —
-// bit-exact equivalence of every compiled+supported lane-word backend
-// against the u64 reference on every generated architecture, through
-// every driver (probe, verify, activity, fault campaign).
+// PML_SIM_BACKEND environment override, occupancy dispatch), and — the
+// load-bearing part — bit-exact equivalence of every compiled+supported
+// lane-word backend against the u64 reference on every generated
+// architecture, through every driver (probe, verify, activity, fault
+// campaign) and through whole evaluate_circuit reports.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +21,13 @@
 #include "pml/cells/library.hpp"
 #include "pml/core/activity.hpp"
 #include "pml/core/backend_probe.hpp"
+#include "pml/core/evaluate.hpp"
 #include "pml/core/fault_campaign.hpp"
 #include "pml/core/verify.hpp"
+#include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/swar.hpp"
+#include "report_test_util.hpp"
 
 namespace pml::core {
 namespace {
@@ -231,6 +235,50 @@ TEST(SimBackend, EnvOverridesAuto) {
   }
 }
 
+// Occupancy dispatch: with a lane count, kAuto resolves to u64 when the
+// count fits its 64 lanes, else to the widest available backend.
+TEST(SimBackend, AutoWithLaneCountPicksU64WhenItHolds) {
+  ScopedBackendEnv no_override(nullptr);
+  const Backend widest = sim::available_backends().back();
+  for (const std::size_t need : {std::size_t{1}, std::size_t{64}}) {
+    SCOPED_TRACE(need);
+    EXPECT_EQ(sim::resolve_backend(Backend::kAuto, need), Backend::kU64);
+  }
+  for (const std::size_t need :
+       {std::size_t{65}, std::size_t{256}, std::size_t{257}, std::size_t{512},
+        std::size_t{1000000}}) {
+    SCOPED_TRACE(need);
+    EXPECT_EQ(sim::resolve_backend(Backend::kAuto, need), widest);
+  }
+}
+
+TEST(SimBackend, PinnedBackendsIgnoreLaneCount) {
+  for (const Backend b : sim::available_backends()) {
+    SCOPED_TRACE(sim::backend_name(b));
+    {
+      ScopedBackendEnv no_override(nullptr);
+      EXPECT_EQ(sim::resolve_backend(b, 1), b);
+      EXPECT_EQ(sim::resolve_backend(b, 1000000), b);
+    }
+    {
+      // The environment override pins kAuto whatever the lane count, and
+      // an explicit request still beats the override.
+      ScopedBackendEnv forced(sim::backend_name(b));
+      EXPECT_EQ(sim::resolve_backend(Backend::kAuto, 1), b);
+      EXPECT_EQ(sim::resolve_backend(Backend::kAuto, 1000000), b);
+      EXPECT_EQ(sim::resolve_backend(Backend::kU64, 1000000), Backend::kU64);
+    }
+  }
+  for (const Backend b : {Backend::kAvx2, Backend::kAvx512}) {
+    if (!sim::backend_available(b)) {
+      EXPECT_THROW((void)sim::resolve_backend(b, 1), std::runtime_error);
+      ScopedBackendEnv forced(sim::backend_name(b));
+      EXPECT_THROW((void)sim::resolve_backend(Backend::kAuto, 1),
+                   std::runtime_error);
+    }
+  }
+}
+
 TEST(SimBackend, EvalCellLanesRejectsSequentialCells) {
   EXPECT_THROW((void)sim::eval_cell_lanes(netlist::CellType::kDff, 1, 0, 0),
                std::logic_error);
@@ -396,6 +444,82 @@ TEST(SimBackendEquivalence, AutoChunkingIgnoresBackendEnvironment) {
       EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
       EXPECT_EQ(got.cycles, ref.cycles);
     }
+  }
+}
+
+// sim.batch_event.live_lanes counts chunk-carrying lanes, so its delta is
+// the chunk count whatever the lane width: 6 chunks (one sparse batch)
+// and 175 chunks (three u64 batches, one AVX2/AVX-512 batch).
+TEST(SimBackendEquivalence, LiveLanesCountEveryChunkOnEveryBackend) {
+  const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
+  auto circuit = arch::build_sequential_svm(q);
+  const auto lib = cells::CellLibrary::egfet();
+  const auto wl = svm_workload(
+      q, random_samples(700, 3, q.input_format.max_code(), 43));
+  std::vector<Backend> backends = sim::available_backends();
+  backends.push_back(Backend::kAuto);
+  for (const Backend b : backends) {
+    SCOPED_TRACE(sim::backend_name(b));
+    for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
+      SCOPED_TRACE(n);
+      ActivityOptions opts;
+      opts.backend = b;  // auto chunking: 4 samples per chunk here
+      const obs::MetricsSnapshot before = obs::snapshot_metrics();
+      (void)collect_activity(circuit.module, lib,
+                             circuit.cycles_per_inference, wl, n, opts);
+      const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+      EXPECT_EQ(delta.counter_value("sim.batch_event.live_lanes"),
+                (n + 3) / 4);
+    }
+  }
+}
+
+// The determinism contract at the report level: a whole evaluate_circuit
+// report does not depend on the backend (auto-dispatched or pinned) or on
+// the thread count.  24 power samples replay as 6 chunks (auto picks u64),
+// 1500 as 375 chunks (auto picks the widest backend).
+TEST(SimBackendEquivalence, EvaluateReportIgnoresBackendAndThreads) {
+  ScopedBackendEnv no_override(nullptr);
+  const auto lib = cells::CellLibrary::egfet();
+  const QuantizedSvm q = random_svm(3, 3, 3, 4, 83);
+  const auto wl = svm_workload(
+      q, random_samples(1500, 3, q.input_format.max_code(), 89));
+  std::vector<Backend> backends = sim::available_backends();
+  backends.insert(backends.begin(), Backend::kAuto);
+  const auto check = [&](const netlist::Module& module, int cycles) {
+    for (const std::size_t samples : {std::size_t{24}, std::size_t{1500}}) {
+      SCOPED_TRACE(samples);
+      EvaluateOptions ref_opts;
+      ref_opts.power_samples = samples;
+      ref_opts.backend = Backend::kU64;
+      ref_opts.power_threads = 1;
+      ref_opts.verify.num_threads = 1;
+      const HardwareReport ref =
+          evaluate_circuit(module, cycles, lib, wl, ref_opts);
+      EXPECT_TRUE(ref.verified);
+      for (const Backend b : backends) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+          SCOPED_TRACE(sim::backend_name(b));
+          SCOPED_TRACE(threads);
+          EvaluateOptions opts = ref_opts;
+          opts.backend = b;
+          opts.power_threads = threads;
+          opts.verify.num_threads = threads;
+          testutil::expect_reports_equal(
+              evaluate_circuit(module, cycles, lib, wl, opts), ref);
+        }
+      }
+    }
+  };
+  {
+    SCOPED_TRACE("sequential");
+    const auto c = arch::build_sequential_svm(q);
+    check(c.module, c.cycles_per_inference);
+  }
+  {
+    SCOPED_TRACE("parallel");
+    const auto c = arch::build_parallel_svm(q);
+    check(c.module, c.cycles_per_inference);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "pml/core/evaluate.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/svc/sweep_service.hpp"
+#include "report_test_util.hpp"
 
 namespace pml::svc {
 namespace {
@@ -162,43 +163,6 @@ TEST(SvcCacheKey, SimdBackendDoesNotChangeKey) {
   EXPECT_EQ(SweepService::cache_key(r1), SweepService::cache_key(r3));
 }
 
-void expect_reports_identical(const core::HardwareReport& a,
-                              const core::HardwareReport& b) {
-  // Exact comparisons, doubles included: both sides came from the same
-  // deterministic pipeline, so even the last ulp must agree.
-  EXPECT_EQ(a.area_cm2, b.area_cm2);
-  EXPECT_EQ(a.power_mw, b.power_mw);
-  EXPECT_EQ(a.frequency_hz, b.frequency_hz);
-  EXPECT_EQ(a.latency_ms, b.latency_ms);
-  EXPECT_EQ(a.energy_mj, b.energy_mj);
-  EXPECT_EQ(a.static_mw, b.static_mw);
-  EXPECT_EQ(a.dynamic_mw, b.dynamic_mw);
-  EXPECT_EQ(a.dynamic_glitch_mw, b.dynamic_glitch_mw);
-  EXPECT_EQ(a.functional_transitions, b.functional_transitions);
-  EXPECT_EQ(a.glitch_transitions, b.glitch_transitions);
-  EXPECT_EQ(a.logic_depth, b.logic_depth);
-  EXPECT_EQ(a.num_cells, b.num_cells);
-  EXPECT_EQ(a.num_dffs, b.num_dffs);
-  EXPECT_EQ(a.cycles_per_inference, b.cycles_per_inference);
-  EXPECT_EQ(a.verified, b.verified);
-  EXPECT_EQ(a.verified_samples, b.verified_samples);
-  EXPECT_EQ(a.verified_mismatches, b.verified_mismatches);
-  EXPECT_EQ(a.opt_flow, b.opt_flow);
-  EXPECT_EQ(a.opt_cost_probes, b.opt_cost_probes);
-  ASSERT_EQ(a.groups.size(), b.groups.size());
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].name, b.groups[g].name);
-    EXPECT_EQ(a.groups[g].cells, b.groups[g].cells);
-    EXPECT_EQ(a.groups[g].area_cm2, b.groups[g].area_cm2);
-    EXPECT_EQ(a.groups[g].static_mw, b.groups[g].static_mw);
-    EXPECT_EQ(a.groups[g].dynamic_mw, b.groups[g].dynamic_mw);
-    EXPECT_EQ(a.groups[g].glitch_mw, b.groups[g].glitch_mw);
-  }
-  EXPECT_EQ(a.post_opt_stats.num_cells, b.post_opt_stats.num_cells);
-  EXPECT_EQ(a.post_opt_stats.num_nets, b.post_opt_stats.num_nets);
-  EXPECT_EQ(a.post_opt_stats.num_dffs, b.post_opt_stats.num_dffs);
-}
-
 TEST(SvcCache, CachedReportIdenticalToFreshEvaluation) {
   const auto lib = cells::CellLibrary::egfet();
   SweepService service(lib);
@@ -212,11 +176,11 @@ TEST(SvcCache, CachedReportIdenticalToFreshEvaluation) {
   EXPECT_GE(stats.cache_hits, 1u);
 
   // The cache hit is a copy of the one real evaluation...
-  expect_reports_identical(first, cached);
+  testutil::expect_reports_equal(first, cached);
   // ...and that evaluation matches a from-scratch evaluate_circuit.
   const core::HardwareReport fresh = core::evaluate_circuit(
       *req.module, req.cycles_per_inference, lib, *req.workload, req.options);
-  expect_reports_identical(fresh, cached);
+  testutil::expect_reports_equal(fresh, cached);
 }
 
 }  // namespace
