@@ -49,7 +49,8 @@ MlpCircuit build_mlp_circuit(const quant::QuantizedMlp& model,
   std::vector<Bus> x;
   x.reserve(static_cast<std::size_t>(m));
   for (int j = 0; j < m; ++j) {
-    x.push_back(Bus{mod.add_input_port("x" + std::to_string(j), bx)});
+    x.push_back(Bus{
+        mod.add_input_port(std::string("x").append(std::to_string(j)), bx)});
   }
 
   mod.begin_group(kGroupCompute);

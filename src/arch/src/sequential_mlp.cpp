@@ -62,7 +62,8 @@ SequentialMlpCircuit build_sequential_mlp(const quant::QuantizedMlp& model,
   std::vector<Bus> x;
   x.reserve(static_cast<std::size_t>(m_in));
   for (int j = 0; j < m_in; ++j) {
-    x.push_back(Bus{mod.add_input_port("x" + std::to_string(j), bx)});
+    x.push_back(Bus{
+        mod.add_input_port(std::string("x").append(std::to_string(j)), bx)});
   }
 
   // --- control: counter over h + n cycles, phase flag ----------------------

@@ -41,7 +41,8 @@ SequentialSvmCircuit build_sequential_svm(const quant::QuantizedSvm& model,
   std::vector<Bus> x;
   x.reserve(static_cast<std::size_t>(m));
   for (int j = 0; j < m; ++j) {
-    x.push_back(Bus{mod.add_input_port("x" + std::to_string(j), bx)});
+    x.push_back(Bus{
+        mod.add_input_port(std::string("x").append(std::to_string(j)), bx)});
   }
 
   // --- control: modulo-n support-vector counter ---------------------------

@@ -4,15 +4,15 @@
 //
 // One EvalContext owns every piece of reusable storage an evaluation
 // needs — the shared Levelization and its arena-backed working arrays,
-// one BatchSimulator + BatchEventSimulator + ActivityStats partial per
-// worker slot, the optimizer's module copy, and the timing/activity/power
-// result records.  evaluate_circuit_into threads it through
-// verify_workload and collect_activity (via VerifyOptions::context /
-// ActivityOptions::context), so after the first evaluation warms the
-// capacities up, steady-state evaluations of same-shaped modules perform
-// ZERO heap allocation on the calling thread (proven by the
-// allocation-hook test in tests/test_eval_alloc.cpp and surfaced as the
-// obs counters `eval.allocs` / `eval.pool_reuse`).
+// per worker slot one pooled zero-delay and one event engine per SIMD
+// backend plus an ActivityStats partial, the optimizer's module copy, and
+// the timing/activity/power result records.  evaluate_circuit_into
+// threads it through verify_workload and collect_activity (via
+// VerifyOptions::context / ActivityOptions::context), so after the first
+// evaluation warms the capacities up, steady-state evaluations of
+// same-shaped modules perform ZERO heap allocation on the calling thread
+// (proven by the allocation-hook test in tests/test_eval_alloc.cpp and
+// surfaced as the obs counters `eval.allocs` / `eval.pool_reuse`).
 //
 // The zero-allocation contract holds for the single-threaded
 // configuration (verify.num_threads = 1, power_threads = 1) with
@@ -25,6 +25,7 @@
 // worker slots are handed to that evaluation's threads); use one context
 // per concurrent evaluator, as svc::SweepService does per worker.
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -34,8 +35,6 @@
 #include "pml/netlist/module.hpp"
 #include "pml/power/power.hpp"
 #include "pml/sim/backend.hpp"
-#include "pml/sim/batch_event_sim.hpp"
-#include "pml/sim/batch_sim.hpp"
 #include "pml/sim/event_sim.hpp"
 #include "pml/sim/levelize.hpp"
 #include "pml/sta/timing.hpp"
@@ -45,22 +44,21 @@ namespace pml::core {
 
 class EvalContext {
  public:
+  /// One pooled engine per concrete sim::Backend, indexed by the enum
+  /// value (slot 0, kAuto, stays empty).  Type-erased because only the
+  /// per-flag backend TUs may name the wide engine types; the backend
+  /// loops create each engine on first use and never evict it
+  /// (src/core/src/backends/batch_loops.hpp).
+  using EngineSlots =
+      std::array<std::shared_ptr<void>,
+                 static_cast<std::size_t>(sim::Backend::kAvx512) + 1>;
   /// Per-worker-slot simulators and activity partial.  Slots live in a
   /// deque so growing the pool never moves (or copies) a simulator that
   /// an earlier evaluation warmed up.
   struct WorkerScratch {
-    sim::BatchSimulator batch;       ///< verification engine (u64 backend)
-    sim::BatchEventSimulator event;  ///< power/glitch replay engine (u64)
-    sim::ActivityStats activity;     ///< this slot's partial counts
-    /// Wide-backend pooling: when an evaluation runs on an AVX backend,
-    /// its BatchSimulatorT<LaneAvx*> / BatchEventSimulatorT<LaneAvx*>
-    /// live here type-erased (only the per-flag backend TUs may name the
-    /// concrete types), tagged with the backend that created them so a
-    /// backend switch drops the stale pair.  The u64 members above stay
-    /// dedicated — the zero-allocation contract is proven on them.
-    std::shared_ptr<void> lane_batch;
-    std::shared_ptr<void> lane_event;
-    sim::Backend lane_backend = sim::Backend::kU64;
+    EngineSlots batch;            ///< verification (BatchSimulatorT)
+    EngineSlots event;            ///< power replay (BatchEventSimulatorT)
+    sim::ActivityStats activity;  ///< this slot's partial counts
   };
 
   EvalContext() = default;

@@ -7,11 +7,11 @@
 // engine means a single stuck-at fault corrupts every class score.  A
 // campaign takes a list of fault sets (each a list of stuck-at sites),
 // packs kLanes - 1 of them per pass of the bit-parallel
-// sim::BatchFaultSimulator — 63 / 255 / 511 under u64 / AVX2 / AVX-512
-// (lane 0
-// carries the fault-free golden reference for free), and shards the
-// batches across std::thread workers sharing one Levelization — the same
-// pattern as core::verify_workload / core::collect_activity.
+// sim::BatchFaultSimulator (the zero-delay engine's stuck-at overlay) —
+// 63 / 255 / 511 under u64 / AVX2 / AVX-512 (lane 0 carries the
+// fault-free golden reference for free), and shards the batches across
+// util::TaskPool workers sharing one Levelization — the same pattern as
+// core::verify_workload / core::collect_activity.
 //
 // Protocol, per fault variant: install the stuck-at faults, reset the
 // circuit (power-on DFF state, settle with faults applied), then replay

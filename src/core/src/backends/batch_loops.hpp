@@ -28,14 +28,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "kernels.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/obs/trace.hpp"
 #include "pml/sim/batch_event_sim.hpp"
-#include "pml/sim/batch_fault_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/lanes.hpp"
 #include "pml/util/parallel.hpp"
@@ -55,57 +53,25 @@ inline constexpr sim::Backend kBackendOf<sim::LaneAvx512> =
     sim::Backend::kAvx512;
 #endif
 
-/// Build the chunked mask with lanes [0, count) set.
-template <class L>
-inline void lanes_mask_chunks(std::size_t count, std::uint64_t* mask) {
-  for (std::size_t c = 0; c < L::kChunks; ++c) {
-    const std::size_t lo = c * 64;
-    mask[c] = count >= lo + 64 ? ~std::uint64_t{0}
-              : count <= lo    ? 0
-                               : (std::uint64_t{1} << (count - lo)) - 1;
-  }
+/// A worker slot's pooled engine for backend L, created on first use and
+/// never evicted.  Every (engine, backend) pair has its own slot, so an
+/// evaluation that verifies on one backend and replays activity on
+/// another keeps both warm.
+template <class Engine, class L>
+[[nodiscard]] inline Engine& pooled(EvalContext::EngineSlots& slots) {
+  std::shared_ptr<void>& slot = slots[static_cast<std::size_t>(kBackendOf<L>)];
+  if (slot == nullptr) slot = std::make_shared<Engine>();
+  return *static_cast<Engine*>(slot.get());
 }
-
-/// Pooled simulators.  The u64 loops keep using the dedicated
-/// WorkerScratch::batch / ::event members (the slots the zero-allocation
-/// contract is proven on); wide backends pool through the type-erased
-/// lane_batch / lane_event slots, tagged with their backend so a context
-/// that switches backend between evaluations drops the stale pair.
 template <class L>
 [[nodiscard]] inline sim::BatchSimulatorT<L>& pooled_batch(
     EvalContext::WorkerScratch& ws) {
-  if constexpr (std::is_same_v<L, sim::LaneU64>) {
-    return ws.batch;
-  } else {
-    if (ws.lane_backend != kBackendOf<L> || ws.lane_batch == nullptr) {
-      if (ws.lane_backend != kBackendOf<L>) {
-        ws.lane_batch.reset();
-        ws.lane_event.reset();
-        ws.lane_backend = kBackendOf<L>;
-      }
-      ws.lane_batch = std::make_shared<sim::BatchSimulatorT<L>>();
-    }
-    return *std::static_pointer_cast<sim::BatchSimulatorT<L>>(ws.lane_batch);
-  }
+  return pooled<sim::BatchSimulatorT<L>, L>(ws.batch);
 }
-
 template <class L>
 [[nodiscard]] inline sim::BatchEventSimulatorT<L>& pooled_event(
     EvalContext::WorkerScratch& ws) {
-  if constexpr (std::is_same_v<L, sim::LaneU64>) {
-    return ws.event;
-  } else {
-    if (ws.lane_backend != kBackendOf<L> || ws.lane_event == nullptr) {
-      if (ws.lane_backend != kBackendOf<L>) {
-        ws.lane_batch.reset();
-        ws.lane_event.reset();
-        ws.lane_backend = kBackendOf<L>;
-      }
-      ws.lane_event = std::make_shared<sim::BatchEventSimulatorT<L>>();
-    }
-    return *std::static_pointer_cast<sim::BatchEventSimulatorT<L>>(
-        ws.lane_event);
-  }
+  return pooled<sim::BatchEventSimulatorT<L>, L>(ws.event);
 }
 
 [[nodiscard]] inline std::size_t clamp_threads(std::size_t requested,
@@ -249,7 +215,7 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   bsim.reset();
   // Warm-up round on each chunk's first sample, then discard the counts
   // so every lane starts from its steady state (the scalar protocol).
-  lanes_mask_chunks<L>(lanes, mask);
+  sim::prefix_lane_mask(lanes, mask, L::kChunks);
   bsim.set_count_mask_chunks(mask);
   apply_round(0);
   bsim.clear_activity();
@@ -383,8 +349,8 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
       std::fill(miscount, miscount + count + 1, std::size_t{0});
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < ports.size(); ++j) {
-          bsim.set_port(*ports[j], static_cast<std::uint64_t>(
-                                       workload.feature_codes[i][j]));
+          bsim.set_port_broadcast(*ports[j], static_cast<std::uint64_t>(
+                                                 workload.feature_codes[i][j]));
         }
         if (job.sequential) {
           for (int c = 0; c < job.cycles_per_inference; ++c) bsim.step();

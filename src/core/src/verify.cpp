@@ -15,7 +15,8 @@ void feature_ports_into(std::vector<const netlist::Port*>& out,
   out.clear();
   out.reserve(count);
   for (std::size_t j = 0; j < count; ++j) {
-    const netlist::Port* p = module.find_input("x" + std::to_string(j));
+    const netlist::Port* p =
+        module.find_input(std::string("x").append(std::to_string(j)));
     if (p == nullptr) {
       throw std::invalid_argument("missing input port x" + std::to_string(j));
     }

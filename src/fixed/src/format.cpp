@@ -16,8 +16,10 @@ double FixedFormat::max_value() const {
 }
 
 std::string FixedFormat::to_string() const {
-  return (is_signed ? "s" : "u") + std::to_string(total_bits) + "q" +
-         std::to_string(frac_bits);
+  return std::string(is_signed ? "s" : "u")
+      .append(std::to_string(total_bits))
+      .append("q")
+      .append(std::to_string(frac_bits));
 }
 
 std::int64_t saturate(std::int64_t code, const FixedFormat& fmt) {

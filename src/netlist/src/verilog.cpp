@@ -20,7 +20,7 @@ std::string net_ref(const Module& module, NetId n) {
       }
     }
   }
-  return "n" + std::to_string(n);
+  return std::string("n").append(std::to_string(n));
 }
 
 }  // namespace

@@ -26,8 +26,9 @@ double SwitchingEnergyCost::cost(const netlist::Module& m) const {
   const std::size_t lanes = std::min(probe_.samples.size(), kLanes);
 
   sim::BatchEventSimulator sim(m, lib_, time_quantum_ms_);
-  sim.set_count_mask(lanes == kLanes ? ~std::uint64_t{0}
-                                     : (std::uint64_t{1} << lanes) - 1);
+  std::uint64_t count_mask[sim::BatchEventSimulator::kChunks];
+  sim::prefix_lane_mask(lanes, count_mask, sim::BatchEventSimulator::kChunks);
+  sim.set_count_mask_chunks(count_mask);
   std::uint64_t lane_values[kLanes] = {};
   for (std::size_t p = 0; p < inputs.size(); ++p) {
     for (std::size_t lane = 0; lane < lanes; ++lane) {

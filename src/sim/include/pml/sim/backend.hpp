@@ -1,7 +1,7 @@
 #pragma once
 // Runtime selection of the SWAR lane-word backend.
 //
-// The three batch simulators are templated on a LaneWord trait
+// The batch simulators are templated on a LaneWord trait
 // (sim/lanes.hpp); the wide instantiations live in translation units
 // compiled with -mavx2 / -mavx512f (src/core/src/backends/).  This header
 // is the runtime face of that split: a Backend enum threaded through

@@ -2,17 +2,19 @@
 // Width-generic bit-parallel (SWAR) *delay-accurate* event-driven
 // simulator.
 //
-// BatchEventSimulatorT<L> packs L::kWidth independent workload samples
-// into one lane word per net (bit L = lane L's logic value, stored as
-// L::kChunks uint64_t chunks) and advances a shared integer-tick timing
-// wheel over the levelized netlist.  Gate delays are lane-invariant (they
-// depend only on the cell type), so every lane's transitions land on the
-// same tick grid as a scalar EventSimulator run of that lane alone: the
-// per-lane value trajectory — including every glitch — is bit-exact, and
-// a word-level event is a no-op in any lane whose value is unchanged.
-// The equivalence suites in tests/test_sim_batch_event.cpp (u64) and
-// tests/test_sim_backend.cpp (wide backends vs u64) prove it on generated
-// sequential-SVM, parallel-SVM, and MLP circuits and on random netlists.
+// BatchEventSimulatorT<L> packs L::kWidth independent workload samples into
+// one lane word per net (bit L = lane L's logic value, stored as L::kChunks
+// uint64_t chunks; the lane storage, power-on reset and port I/O are the
+// LaneState core shared with BatchSimulatorT, see swar.hpp) and advances a
+// shared integer-tick timing wheel over the levelized netlist. Gate delays
+// are lane-invariant (they depend only on the cell type), so every lane's
+// transitions land on the same tick grid as a scalar EventSimulator run of
+// that lane alone: the per-lane value trajectory — including every glitch —
+// is bit-exact, and a word-level event is a no-op in any lane whose value
+// is unchanged. The equivalence suites in tests/test_sim_batch_event.cpp
+// (u64) and tests/test_sim_backend.cpp (wide backends vs u64) prove it on
+// generated sequential-SVM, parallel-SVM, and MLP circuits and on random
+// netlists.
 //
 // `BatchEventSimulator` remains the 64-lane scalar instantiation; AVX2
 // (256-lane) / AVX-512 (512-lane) instantiations are created only in the
@@ -34,7 +36,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "pml/cells/library.hpp"
@@ -48,12 +50,17 @@
 namespace pml::sim {
 
 template <LaneWord L>
-class BatchEventSimulatorT {
+class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
+  using Base = LaneState<BatchEventSimulatorT<L>, L>;
+  using Base::dff_state_;
+  using Base::dffs_;
+  using Base::lv_;
+  using Base::module_;
+  using Base::values_;
+
  public:
-  /// Lanes per batch: one sample stream per bit of the SWAR lane word.
-  static constexpr std::size_t kLanes = L::kWidth;
-  /// uint64_t storage chunks per lane word (lane L -> chunk L/64).
-  static constexpr std::size_t kChunks = L::kChunks;
+  using Base::kChunks;
+  using Base::kLanes;
 
   /// Unbound simulator for pooling (core::EvalContext worker scratch);
   /// every member other than rebind()/bound() requires a bind first.
@@ -87,8 +94,7 @@ class BatchEventSimulatorT {
     if (time_quantum_ms <= 0) {
       throw std::invalid_argument("time quantum must be positive");
     }
-    module_ = &module;
-    lv_ = std::move(lv);
+    this->bind(module, std::move(lv));
     // Same quantization as EventSimulator: equal tick grids are what make
     // the per-lane trajectories bit-exact against the scalar oracle.
     delay_ticks_.assign(netlist::kNumCellTypes, 0);
@@ -108,9 +114,6 @@ class BatchEventSimulatorT {
     wheel_.resize(wheel_size);
 
     swar_cell_ops_into(cell_ops_, *module_);
-    swar_dff_ops_into(dffs_, *module_, *lv_);
-    values_.assign(module_->num_nets() * kChunks, 0);
-    dff_state_.assign(dffs_.size() * kChunks, 0);
     cell_epoch_.assign(module_->cells().size(), 0);
     epoch_ = 0;
     touched_cells_.clear();
@@ -123,22 +126,11 @@ class BatchEventSimulatorT {
     activity_.net_functional.assign(module_->num_nets(), 0);
     reset();
   }
-  [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
 
   /// Restore all DFFs (every lane) to their power-on values, zero all
   /// nets, settle without counting, and clear the activity counters.
   void reset() {
-    std::fill(values_.begin(), values_.end(), 0);
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      values_[netlist::kConst1 * kChunks + c] = ~std::uint64_t{0};
-    }
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      // SwarDffOp::init is 0 or ~0 — broadcast it to every chunk.
-      for (std::size_t c = 0; c < kChunks; ++c) {
-        dff_state_[i * kChunks + c] = dffs_[i].init;
-        values_[dffs_[i].q * kChunks + c] = dffs_[i].init;
-      }
-    }
+    this->power_on();
     for (auto& bucket : wheel_) bucket.clear();
     wheel_pos_ = 0;
     pending_events_ = 0;
@@ -148,80 +140,24 @@ class BatchEventSimulatorT {
   }
 
   // --- lane counting --------------------------------------------------------
-  /// Bit L set iff lane L accumulates into the activity counters.  All
-  /// lanes always *simulate*; masked-out lanes are simply not counted
-  /// (used for ragged batches and per-lane stream exhaustion).  This
-  /// historical 64-lane form masks lanes [0, 64) and clears any wider
-  /// backend's remaining lanes from counting.
-  void set_count_mask(std::uint64_t mask) {
-    count_mask_[0] = mask;
-    for (std::size_t c = 1; c < kChunks; ++c) count_mask_[c] = 0;
-  }
-  /// Full-width form: kChunks mask words (lane L -> chunk L/64, bit L%64).
+  /// kChunks mask words (lane L -> chunk L/64, bit L%64): bit L set iff
+  /// lane L accumulates into the activity counters.  All lanes always
+  /// *simulate*; masked-out lanes are simply not counted (used for ragged
+  /// batches and per-lane stream exhaustion; prefix_lane_mask builds the
+  /// common lanes-[0, n) form).
   void set_count_mask_chunks(const std::uint64_t* mask) {
     std::copy(mask, mask + kChunks, count_mask_);
   }
-  /// Chunk 0 of the count mask (lanes [0, 64)).
-  [[nodiscard]] std::uint64_t count_mask() const { return count_mask_[0]; }
 
   // --- stimulus -------------------------------------------------------------
-  /// Stage a primary-input change on lanes [0, 64) (historical API; any
-  /// wider backend's remaining lanes are driven to 0); takes effect as a
-  /// time-0 event at the start of the next settle()/step().
-  void set_net(netlist::NetId net, std::uint64_t lanes) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net: bad net");
-    }
-    Event& e = pending_inputs_.emplace_back();
-    e.net = net;
-    e.w[0] = lanes;
-    for (std::size_t c = 1; c < kChunks; ++c) e.w[c] = 0;
-  }
-  /// Stage all kLanes lanes of a primary-input net from kChunks words.
+  /// Stage all kLanes lanes of a primary-input net from kChunks words;
+  /// takes effect as a time-0 event at the start of the next
+  /// settle()/step().  The LaneState port writers stage through here.
   void set_net_chunks(netlist::NetId net, const std::uint64_t* chunks) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net_chunks: bad net");
-    }
+    this->check_net(net, "set_net_chunks");
     Event& e = pending_inputs_.emplace_back();
     e.net = net;
     std::copy(chunks, chunks + kChunks, e.w);
-  }
-  /// Stage an input port: values[L] is lane L's port value (LSB first),
-  /// `count` <= kLanes.  Lanes >= count are driven to 0.
-  void set_port(const netlist::Port& port, const std::uint64_t* values,
-                std::size_t count) {
-    if (count > kLanes) {
-      throw std::out_of_range("set_port: count > kLanes");
-    }
-    // Transpose sample-major port values into bit-major lane words.
-    std::uint64_t word[kChunks];
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      std::fill(word, word + kChunks, 0);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        word[lane_chunk(lane)] |= ((values[lane] >> i) & 1u) << (lane & 63);
-      }
-      set_net_chunks(port.nets[i], word);
-    }
-  }
-  void set_port(const std::string& name, const std::uint64_t* values,
-                std::size_t count) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port(*port, values, count);
-  }
-  /// Stage the same value into every lane of an input port.
-  void set_port_broadcast(const netlist::Port& port, std::uint64_t value) {
-    std::uint64_t word[kChunks];
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      std::fill(word, word + kChunks,
-                ((value >> i) & 1u) != 0 ? ~std::uint64_t{0} : 0);
-      set_net_chunks(port.nets[i], word);
-    }
-  }
-  void set_port_broadcast(const std::string& name, std::uint64_t value) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port_broadcast(*port, value);
   }
 
   // --- evaluation -----------------------------------------------------------
@@ -239,10 +175,7 @@ class BatchEventSimulatorT {
     settle();
     const std::size_t dff_delay = static_cast<std::size_t>(
         delay_ticks_[static_cast<int>(netlist::CellType::kDff)]);
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      L::store(dff_state_.data() + i * kChunks,
-               L::load(values_.data() + dffs_[i].d * kChunks));
-    }
+    this->capture_dffs();
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
       const auto next = L::load(dff_state_.data() + i * kChunks);
       const auto q = L::load(values_.data() + dffs_[i].q * kChunks);
@@ -260,36 +193,6 @@ class BatchEventSimulatorT {
   }
 
   // --- observation ----------------------------------------------------------
-  /// Lanes [0, 64) of a net (historical 64-lane API).
-  [[nodiscard]] std::uint64_t net_lanes(netlist::NetId net) const {
-    return values_[net * kChunks];
-  }
-  [[nodiscard]] bool net(netlist::NetId net, std::size_t lane) const {
-    return extract_lane(values_.data() + net * kChunks, lane);
-  }
-  /// Read a port in one lane as an unsigned integer (LSB first).
-  [[nodiscard]] std::uint64_t port_unsigned(const netlist::Port& port,
-                                            std::size_t lane) const {
-    if (lane >= kLanes) throw std::out_of_range("port_unsigned: bad lane");
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      v |= static_cast<std::uint64_t>(
-               extract_lane(values_.data() + port.nets[i] * kChunks, lane))
-           << i;
-    }
-    return v;
-  }
-  [[nodiscard]] std::uint64_t port_unsigned(const std::string& name,
-                                            std::size_t lane) const {
-    return port_unsigned(find_port(name), lane);
-  }
-  /// Read a port in one lane as a two's complement signed integer.
-  [[nodiscard]] std::int64_t port_signed(const std::string& name,
-                                         std::size_t lane) const {
-    const netlist::Port& port = find_port(name);
-    return sign_extend_port(port_unsigned(port, lane), port.nets.size());
-  }
-
   /// Counters summed over the counted lanes: `net_toggles` are per-net
   /// transitions including glitches, `dff_clock_events` advances by
   /// num_dffs x popcount(count_mask) per step, `cycles` by
@@ -305,22 +208,12 @@ class BatchEventSimulatorT {
     activity_.cycles = 0;
   }
 
-  [[nodiscard]] const netlist::Module& module() const { return *module_; }
-  [[nodiscard]] const Levelization& levelization() const { return *lv_; }
-
  private:
   /// A (net, lane word) change applying at some tick of the wheel.
   struct Event {
     netlist::NetId net;
     std::uint64_t w[kChunks];
   };
-
-  [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
-    const netlist::Port* port = module_->find_output(name);
-    if (port == nullptr) port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no port: " + name);
-    return *port;
-  }
 
   void schedule_chunks(std::size_t delay_ticks, netlist::NetId net,
                        const std::uint64_t* chunks) {
@@ -430,13 +323,8 @@ class BatchEventSimulatorT {
     }
   }
 
-  const netlist::Module* module_ = nullptr;
-  std::shared_ptr<const Levelization> lv_;
   std::vector<int> delay_ticks_;  ///< per cell type
   std::vector<SwarOp> cell_ops_;  ///< indexed by cell; DFF entries unused
-  std::vector<SwarDffOp> dffs_;
-  std::vector<std::uint64_t> values_;     ///< kChunks words per net
-  std::vector<std::uint64_t> dff_state_;  ///< captured D words, per DFF
   /// Timing wheel: bucket [t % size] holds the events applying at tick t.
   /// Sized to max cell delay + 1, so an in-flight event can never wrap
   /// onto the tick being processed.
@@ -458,8 +346,7 @@ class BatchEventSimulatorT {
   ActivityStats activity_;
 };
 
-/// The 64-lane scalar instantiation: the always-built reference backend
-/// and the type every historical call site keeps using.
+/// The 64-lane scalar instantiation: the always-built reference backend.
 using BatchEventSimulator = BatchEventSimulatorT<LaneU64>;
 extern template class BatchEventSimulatorT<LaneU64>;
 

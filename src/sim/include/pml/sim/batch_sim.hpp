@@ -1,37 +1,46 @@
 #pragma once
 // Width-generic bit-parallel (SWAR) zero-delay batch simulator.
 //
-// BatchSimulatorT<L> packs L::kWidth independent workload samples into one
+// BatchSimulatorT<L, O> packs L::kWidth independent simulations into one
 // lane word per net (bit L = lane L's logic value, stored as L::kChunks
-// uint64_t chunks) and evaluates the levelized netlist once per clock
-// cycle for all lanes simultaneously: an AND2 becomes one machine AND
-// (scalar or vector), a MUX2 three bit-ops.  Functional results are
-// bit-identical to CycleSimulator lane by lane for EVERY backend — the
-// equivalence suites in tests/test_sim_batch.cpp (u64) and
-// tests/test_sim_backend.cpp (wide backends vs u64) prove it on generated
-// sequential-SVM, parallel-SVM, and MLP circuits.
+// uint64_t chunks; see LaneState in swar.hpp) and evaluates the levelized
+// netlist once per clock cycle for all lanes simultaneously: an AND2
+// becomes one machine AND (scalar or vector), a MUX2 three bit-ops.  The
+// compile-time overlay O selects what rides on top of plain evaluation:
 //
-// `BatchSimulator` remains the 64-lane scalar instantiation — the
-// always-built reference.  The AVX2 (256-lane) and AVX-512 (512-lane)
-// instantiations are only created inside per-flag TUs
+//  - BatchOverlay::kToggles (BatchSimulatorT<L>): kLanes workload samples
+//    through one design.  Toggle counts are accumulated per net as the
+//    sum over *active* lanes of per-lane functional transitions (a
+//    popcount of the changed-bits word, masked to the active lanes), so
+//    ragged (< kLanes sample) final batches never pollute the counters.
+//    This is the engine behind core::verify_workload and the backend
+//    probe.
+//  - BatchOverlay::kStuckAt (BatchFaultSimulatorT<L>): kLanes stuck-at
+//    fault variants of the SAME design on the SAME (broadcast) input.
+//    Per-net force0/force1 lane masks are applied after each cell eval
+//    (two extra bit-ops per cell, branch-free) and re-asserted on source
+//    nets (PIs, DFF Qs) before each sweep, so variant L sees net n stuck
+//    exactly where bit L of the masks is set.  Lane 0 is reserved
+//    fault-free (set_fault rejects it): every batch of a campaign carries
+//    the golden reference for free.  This is the engine behind
+//    core::run_fault_campaign (63 / 255 / 511 variants per pass).
+//
+// Functional results are bit-identical, lane by lane, to CycleSimulator
+// (with the same faults installed via force_net) for EVERY backend — the
+// equivalence suites in tests/test_sim_batch.cpp, test_sim_fault_batch.cpp
+// (u64) and test_sim_backend.cpp (wide backends vs u64) prove it on
+// generated sequential-SVM, parallel-SVM, and MLP circuits and on random
+// netlists.  CycleSimulator remains the scalar reference.
+//
+// The u64 instantiations are built once in batch_sim.cpp; the AVX2
+// (256-lane) and AVX-512 (512-lane) ones only inside the per-flag TUs
 // (src/core/src/backends/backend_avx2.cpp / backend_avx512.cpp); runtime
 // selection goes through sim::resolve_backend (sim/backend.hpp).
-//
-// This is the engine behind core::verify_workload, which shards batches
-// across threads and replaces the scalar sample-at-a-time loop in
-// evaluate_circuit's bit-exactness gate.  CycleSimulator remains the
-// scalar reference and the fault-injection vehicle.
-//
-// Toggle counts are accumulated per net as the *sum over active lanes* of
-// per-lane functional transitions (a popcount of the changed-bits word,
-// masked to the active lanes), so zero-delay activity statistics keep
-// working under batching and ragged (< kLanes sample) final batches never
-// pollute the counters.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "pml/netlist/module.hpp"
@@ -42,21 +51,32 @@
 
 namespace pml::sim {
 
-template <LaneWord L>
-class BatchSimulatorT {
+/// What a BatchSimulatorT overlays on plain zero-delay evaluation.
+enum class BatchOverlay : std::uint8_t {
+  kToggles,  ///< per-net toggle counts over the active lanes
+  kStuckAt,  ///< per-lane stuck-at-0/1 force masks (lane 0 fault-free)
+};
+
+template <LaneWord L, BatchOverlay O = BatchOverlay::kToggles>
+class BatchSimulatorT : public LaneState<BatchSimulatorT<L, O>, L> {
+  using Base = LaneState<BatchSimulatorT<L, O>, L>;
+  using Base::dff_state_;
+  using Base::dffs_;
+  using Base::lv_;
+  using Base::values_;
+  static constexpr bool kStuckAt = O == BatchOverlay::kStuckAt;
+
  public:
-  /// Lanes per batch: one sample per bit of the SWAR lane word.
-  static constexpr std::size_t kLanes = L::kWidth;
-  /// uint64_t storage chunks per lane word (lane L -> chunk L/64).
-  static constexpr std::size_t kChunks = L::kChunks;
+  using Base::kChunks;
+  using Base::kLanes;
 
   /// Unbound simulator for pooling (core::EvalContext worker scratch);
   /// every member other than rebind()/bound() requires a bind first.
   BatchSimulatorT() = default;
   explicit BatchSimulatorT(const netlist::Module& module)
       : BatchSimulatorT(module, levelize_shared(module)) {}
-  /// Reuse a previously derived levelization (verification workers across
-  /// threads share one instead of re-deriving it per simulator).
+  /// Reuse a previously derived levelization (workers across threads
+  /// share one instead of re-deriving it per simulator).
   BatchSimulatorT(const netlist::Module& module,
                   std::shared_ptr<const Levelization> lv) {
     rebind(module, std::move(lv));
@@ -65,172 +85,204 @@ class BatchSimulatorT {
   /// (Re)bind to a module, reusing all internal vector capacities: a
   /// pooled simulator rebound to same-shaped modules performs zero heap
   /// allocation.  The module and levelization are borrowed and must
-  /// outlive the binding; lane masks/counters are reset as by reset().
+  /// outlive the binding; lane masks, installed faults and counters are
+  /// reset.
   void rebind(const netlist::Module& module,
               std::shared_ptr<const Levelization> lv) {
     if (lv == nullptr) {
-      throw std::invalid_argument("BatchSimulator: null levelization");
+      throw std::invalid_argument(kStuckAt
+                                      ? "BatchFaultSimulator: null levelization"
+                                      : "BatchSimulator: null levelization");
     }
-    module_ = &module;
-    lv_ = std::move(lv);
-    swar_comb_ops_into(ops_, *module_, *lv_);
-    swar_dff_ops_into(dffs_, *module_, *lv_);
-    values_.assign(module_->num_nets() * kChunks, 0);
-    toggles_.assign(module_->num_nets(), 0);
-    dff_state_.assign(dffs_.size() * kChunks, 0);
-    std::fill(active_mask_, active_mask_ + kChunks, ~std::uint64_t{0});
-    active_lanes_ = kLanes;
+    this->bind(module, std::move(lv));
+    swar_comb_ops_into(ops_, module, *lv_);
+    if constexpr (kStuckAt) {
+      force0_.assign(module.num_nets() * kChunks, 0);
+      force1_.assign(module.num_nets() * kChunks, 0);
+      forced_nets_.clear();
+      num_faults_ = 0;
+    } else {
+      toggles_.assign(module.num_nets(), 0);
+      std::fill(active_mask_, active_mask_ + kChunks, ~std::uint64_t{0});
+      active_lanes_ = kLanes;
+    }
     inputs_dirty_ = false;
     reset();
   }
-  [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
 
   /// Restore all DFFs (every lane) to their power-on values, zero all
-  /// nets, settle, and clear toggle/cycle counters.
+  /// nets, settle (with the installed faults applied — the batch
+  /// equivalent of CycleSimulator::reset after force_net), and clear the
+  /// toggle/cycle counters.
   void reset() {
-    std::fill(values_.begin(), values_.end(), 0);
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      values_[netlist::kConst1 * kChunks + c] = ~std::uint64_t{0};
-    }
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      // SwarDffOp::init is 0 or ~0 — broadcast it to every chunk.
-      for (std::size_t c = 0; c < kChunks; ++c) {
-        dff_state_[i * kChunks + c] = dffs_[i].init;
-        values_[dffs_[i].q * kChunks + c] = dffs_[i].init;
-      }
-    }
+    this->power_on();
     // Settle combinational logic so reads at time zero are consistent,
     // then discard the settling transitions (matches CycleSimulator).
     propagate();
-    std::fill(toggles_.begin(), toggles_.end(), 0);
+    if constexpr (!kStuckAt) std::fill(toggles_.begin(), toggles_.end(), 0);
     cycles_ = 0;
   }
 
-  // --- lane control ---------------------------------------------------------
+  // --- lane control (toggle overlay) ----------------------------------------
   /// Declare lanes [0, count) active (1 <= count <= kLanes).  Inactive
   /// lanes still simulate but are excluded from toggle counting; their
   /// outputs are meaningless and must not be read.
-  void set_active_lanes(std::size_t count) {
+  void set_active_lanes(std::size_t count)
+    requires(!kStuckAt)
+  {
     if (count == 0 || count > kLanes) {
       throw std::out_of_range("set_active_lanes: count out of [1, kLanes]");
     }
     active_lanes_ = count;
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      const std::size_t lo = c * 64;
-      active_mask_[c] = count >= lo + 64 ? ~std::uint64_t{0}
-                        : count <= lo    ? 0
-                                         : (std::uint64_t{1} << (count - lo)) - 1;
-    }
+    prefix_lane_mask(count, active_mask_, kChunks);
   }
-  [[nodiscard]] std::size_t active_lanes() const { return active_lanes_; }
-  /// Chunk 0 of the active-lane mask (bit L set iff lane L < 64 is
-  /// active); the full mask of a wide backend is per-chunk.
-  [[nodiscard]] std::uint64_t active_mask() const { return active_mask_[0]; }
+  [[nodiscard]] std::size_t active_lanes() const
+    requires(!kStuckAt)
+  {
+    return active_lanes_;
+  }
 
-  // --- stimulus -------------------------------------------------------------
-  /// Drive lanes [0, 64) of a primary-input net with one word; any wider
-  /// backend's remaining lanes are driven to 0 (historical 64-lane API).
-  void set_net(netlist::NetId net, std::uint64_t lanes) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net: bad net");
+  // --- fault control (stuck-at overlay) -------------------------------------
+  /// Stick `net` at `stuck_value` in fault variant `lane` (1 <= lane <
+  /// kLanes; lane 0 is the reserved fault-free reference).  Re-sticking
+  /// the same net in the same lane overwrites, like
+  /// CycleSimulator::force_net.  Takes effect from the next
+  /// reset()/propagate()/step().  Throws on lane 0, out-of-range
+  /// nets/lanes, and the constant nets.
+  void set_fault(netlist::NetId net, std::size_t lane, bool stuck_value)
+    requires kStuckAt
+  {
+    this->check_net(net, "set_fault");
+    if (lane == 0) {
+      throw std::invalid_argument(
+          "set_fault: lane 0 is the reserved fault-free reference");
     }
-    values_[net * kChunks] = lanes;
-    for (std::size_t c = 1; c < kChunks; ++c) values_[net * kChunks + c] = 0;
+    if (lane >= kLanes) throw std::out_of_range("set_fault: bad lane");
+    if (net == netlist::kConst0 || net == netlist::kConst1) {
+      throw std::invalid_argument("set_fault: cannot force a constant net");
+    }
+    std::uint64_t* const f0 = force0_.data() + net * kChunks;
+    std::uint64_t* const f1 = force1_.data() + net * kChunks;
+    const std::size_t c = lane_chunk(lane);
+    const std::uint64_t bit = lane_bit(lane);
+    if (((f0[c] | f1[c]) & bit) == 0) {
+      bool any = false;
+      for (std::size_t i = 0; i < kChunks; ++i) {
+        any = any || f0[i] != 0 || f1[i] != 0;
+      }
+      if (!any) forced_nets_.push_back(net);
+      ++num_faults_;
+    }
+    if (stuck_value) {
+      f1[c] |= bit;
+      f0[c] &= ~bit;
+    } else {
+      f0[c] |= bit;
+      f1[c] &= ~bit;
+    }
     inputs_dirty_ = true;
   }
+  /// Remove every fault from every lane.
+  void clear_faults()
+    requires kStuckAt
+  {
+    for (const netlist::NetId n : forced_nets_) {
+      std::fill_n(force0_.begin() + n * kChunks, kChunks, 0);
+      std::fill_n(force1_.begin() + n * kChunks, kChunks, 0);
+    }
+    forced_nets_.clear();
+    num_faults_ = 0;
+    inputs_dirty_ = true;
+  }
+  /// Total installed (net, lane) stuck-at entries.
+  [[nodiscard]] std::size_t num_faults() const
+    requires kStuckAt
+  {
+    return num_faults_;
+  }
+  /// Chunk `c` (lanes [64c, 64c+64)) of the stuck-at-0 / stuck-at-1
+  /// masks for a net.
+  [[nodiscard]] std::uint64_t fault0_chunk(netlist::NetId net,
+                                           std::size_t c) const
+    requires kStuckAt
+  {
+    return force0_[net * kChunks + c];
+  }
+  [[nodiscard]] std::uint64_t fault1_chunk(netlist::NetId net,
+                                           std::size_t c) const
+    requires kStuckAt
+  {
+    return force1_[net * kChunks + c];
+  }
+
+  // --- stimulus -------------------------------------------------------------
   /// Drive all kLanes lanes of a primary-input net from kChunks words.
   void set_net_chunks(netlist::NetId net, const std::uint64_t* chunks) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net_chunks: bad net");
-    }
+    this->check_net(net, "set_net_chunks");
     std::copy(chunks, chunks + kChunks, values_.begin() + net * kChunks);
     inputs_dirty_ = true;
   }
   /// Drive one lane of a primary-input net, leaving the others unchanged.
   void set_net(netlist::NetId net, std::size_t lane, bool value) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net: bad net");
-    }
+    this->check_net(net, "set_net");
     if (lane >= kLanes) throw std::out_of_range("set_net: bad lane");
     insert_lane(values_.data() + net * kChunks, lane, value);
     inputs_dirty_ = true;
-  }
-  /// Drive an input port: values[L] is lane L's port value (LSB first),
-  /// `count` <= kLanes.  Lanes >= count are driven to 0.
-  void set_port(const netlist::Port& port, const std::uint64_t* values,
-                std::size_t count) {
-    if (count > kLanes) {
-      throw std::out_of_range("set_port: count > kLanes");
-    }
-    // Transpose sample-major port values into bit-major lane words.
-    std::uint64_t word[kChunks];
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      std::fill(word, word + kChunks, 0);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        word[lane_chunk(lane)] |= ((values[lane] >> i) & 1u) << (lane & 63);
-      }
-      set_net_chunks(port.nets[i], word);
-    }
-  }
-  void set_port(const std::string& name, const std::uint64_t* values,
-                std::size_t count) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port(*port, values, count);
-  }
-  /// Drive the same value into every lane of an input port.
-  void set_port_broadcast(const netlist::Port& port, std::uint64_t value) {
-    std::uint64_t word[kChunks];
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      std::fill(word, word + kChunks,
-                ((value >> i) & 1u) != 0 ? ~std::uint64_t{0} : 0);
-      set_net_chunks(port.nets[i], word);
-    }
-  }
-  void set_port_broadcast(const std::string& name, std::uint64_t value) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port_broadcast(*port, value);
   }
 
   // --- evaluation -----------------------------------------------------------
   /// Propagate combinational logic for all lanes (no clock edge).
   void propagate() {
     std::uint64_t* const v = values_.data();
-    const auto amask = L::load(active_mask_);
+    [[maybe_unused]] const std::uint64_t* const f0 = force0_.data();
+    [[maybe_unused]] const std::uint64_t* const f1 = force1_.data();
+    [[maybe_unused]] const auto amask = L::load(active_mask_);
+    // Stuck-at: source nets (PIs, DFF Qs) keep their forced lanes across
+    // the sweep; cell outputs are re-forced inline after every eval,
+    // exactly mirroring the scalar CycleSimulator force order.
+    if constexpr (kStuckAt) {
+      for (const netlist::NetId n : forced_nets_) {
+        L::store(v + n * kChunks, force(L::load(v + n * kChunks), f0, f1, n));
+      }
+    }
     for (const SwarOp& op : ops_) {
       const auto out = eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
                                             L::load(v + op.b * kChunks),
                                             L::load(v + op.s * kChunks));
       std::uint64_t* const dst = v + op.out * kChunks;
-      const auto diff = L::band(L::bxor(out, L::load(dst)), amask);
-      toggles_[op.out] += L::popcount(diff);
-      L::store(dst, out);
+      if constexpr (kStuckAt) {
+        L::store(dst, force(out, f0, f1, op.out));
+      } else {
+        toggles_[op.out] +=
+            L::popcount(L::band(L::bxor(out, L::load(dst)), amask));
+        L::store(dst, out);
+      }
     }
     inputs_dirty_ = false;
     // One lane word evaluated per cell per sweep; a single relaxed add
     // per sweep keeps the hot loop untouched.
-    PML_OBS_COUNT("sim.batch.lane_words", ops_.size());
+    PML_OBS_COUNT(kStuckAt ? "sim.batch_fault.lane_words"
+                           : "sim.batch.lane_words",
+                  ops_.size());
   }
   /// Clock every DFF (capture D into Q, all lanes) and re-settle.  The
-  /// pre-clock combinational sweep is skipped when no input changed since
-  /// the last propagate — a levelized pass is a fixpoint, so re-running it
-  /// on unchanged inputs is an observably-identical no-op (zero toggles).
+  /// pre-clock combinational sweep is skipped when no input (or fault)
+  /// changed since the last propagate — a levelized pass is a fixpoint,
+  /// so re-running it on unchanged inputs is an observably-identical
+  /// no-op (zero toggles).  Forced Q lanes are re-asserted by the
+  /// trailing propagate before anything reads them.
   void step() {
     if (inputs_dirty_) propagate();
-    // Two-phase clocking (sample all Ds, then update all Qs) so DFF chains
-    // shift correctly regardless of cell order — same as CycleSimulator.
+    this->capture_dffs();
     std::uint64_t* const v = values_.data();
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      L::store(dff_state_.data() + i * kChunks,
-               L::load(v + dffs_[i].d * kChunks));
-    }
-    const auto amask = L::load(active_mask_);
+    [[maybe_unused]] const auto amask = L::load(active_mask_);
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
       std::uint64_t* const q = v + dffs_[i].q * kChunks;
       const auto next = L::load(dff_state_.data() + i * kChunks);
-      const auto diff = L::band(L::bxor(next, L::load(q)), amask);
-      toggles_[dffs_[i].q] += L::popcount(diff);
+      if constexpr (!kStuckAt) {
+        toggles_[dffs_[i].q] +=
+            L::popcount(L::band(L::bxor(next, L::load(q)), amask));
+      }
       L::store(q, next);
     }
     ++cycles_;
@@ -238,86 +290,58 @@ class BatchSimulatorT {
   }
 
   // --- observation ----------------------------------------------------------
-  /// Lanes [0, 64) of a net (historical 64-lane API).
-  [[nodiscard]] std::uint64_t net_lanes(netlist::NetId net) const {
-    return values_[net * kChunks];
-  }
-  /// Chunk `c` (lanes [64c, 64c+64)) of a net.
-  [[nodiscard]] std::uint64_t net_chunk(netlist::NetId net,
-                                        std::size_t c) const {
-    return values_[net * kChunks + c];
-  }
-  [[nodiscard]] bool net(netlist::NetId net, std::size_t lane) const {
-    return extract_lane(values_.data() + net * kChunks, lane);
-  }
-  /// Read a port in one lane as an unsigned integer (LSB first).
-  [[nodiscard]] std::uint64_t port_unsigned(const netlist::Port& port,
-                                            std::size_t lane) const {
-    if (lane >= kLanes) throw std::out_of_range("port_unsigned: bad lane");
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      v |= static_cast<std::uint64_t>(
-               extract_lane(values_.data() + port.nets[i] * kChunks, lane))
-           << i;
-    }
-    return v;
-  }
-  [[nodiscard]] std::uint64_t port_unsigned(const std::string& name,
-                                            std::size_t lane) const {
-    return port_unsigned(find_port(name), lane);
-  }
-  /// Read a port in one lane as a two's complement signed integer.
-  [[nodiscard]] std::int64_t port_signed(const netlist::Port& port,
-                                         std::size_t lane) const {
-    return sign_extend_port(port_unsigned(port, lane), port.nets.size());
-  }
-  [[nodiscard]] std::int64_t port_signed(const std::string& name,
-                                         std::size_t lane) const {
-    return port_signed(find_port(name), lane);
-  }
   /// Transpose a port across lanes: out[L] = port value in lane L for all
   /// active lanes (out must hold active_lanes() entries).
-  void port_unsigned_all(const netlist::Port& port, std::uint64_t* out) const {
+  void port_unsigned_all(const netlist::Port& port, std::uint64_t* out) const
+    requires(!kStuckAt)
+  {
     for (std::size_t lane = 0; lane < active_lanes_; ++lane) {
-      out[lane] = port_unsigned(port, lane);
+      out[lane] = this->port_unsigned(port, lane);
     }
   }
 
   /// Cumulative zero-delay toggles per net since construction/reset,
   /// summed over active lanes (equals the sum of CycleSimulator toggle
   /// counts over the lanes' sample histories).
-  [[nodiscard]] const std::vector<std::uint64_t>& toggles() const {
+  [[nodiscard]] const std::vector<std::uint64_t>& toggles() const
+    requires(!kStuckAt)
+  {
     return toggles_;
   }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
-  [[nodiscard]] const netlist::Module& module() const { return *module_; }
-  [[nodiscard]] const Levelization& levelization() const { return *lv_; }
-
  private:
-  [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
-    const netlist::Port* port = module_->find_output(name);
-    if (port == nullptr) port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no port: " + name);
-    return *port;
+  /// Branch-free stuck-at overlay of net `n`: identity where both masks
+  /// are zero.
+  static typename L::Word force(typename L::Word w, const std::uint64_t* f0,
+                                const std::uint64_t* f1, netlist::NetId n) {
+    return L::bor(L::andnot(w, L::load(f0 + n * kChunks)),
+                  L::load(f1 + n * kChunks));
   }
 
-  const netlist::Module* module_ = nullptr;
-  std::shared_ptr<const Levelization> lv_;
   std::vector<SwarOp> ops_;  ///< levelized cells, pins flattened
-  std::vector<SwarDffOp> dffs_;
-  std::vector<std::uint64_t> values_;     ///< kChunks words per net
-  std::vector<std::uint64_t> dff_state_;  ///< captured D, per DFF
+  std::uint64_t cycles_ = 0;
+  bool inputs_dirty_ = false;  ///< stimulus/faults changed since propagate
+  // kToggles state.
   std::vector<std::uint64_t> toggles_;
   std::uint64_t active_mask_[kChunks] = {};
   std::size_t active_lanes_ = kLanes;
-  std::uint64_t cycles_ = 0;
-  bool inputs_dirty_ = false;  ///< true if set_net/set_port since propagate
+  // kStuckAt state.
+  std::vector<std::uint64_t> force0_;        ///< stuck-at-0 lane mask per net
+  std::vector<std::uint64_t> force1_;        ///< stuck-at-1 lane mask per net
+  std::vector<netlist::NetId> forced_nets_;  ///< nets with any mask bit set
+  std::size_t num_faults_ = 0;
 };
 
-/// The 64-lane scalar instantiation: the always-built reference backend
-/// and the type every historical call site keeps using.
+/// The stuck-at fault-variant engine: the zero-delay engine with the
+/// force-mask overlay.
+template <LaneWord L>
+using BatchFaultSimulatorT = BatchSimulatorT<L, BatchOverlay::kStuckAt>;
+
+/// The 64-lane scalar instantiations: the always-built reference backend.
 using BatchSimulator = BatchSimulatorT<LaneU64>;
+using BatchFaultSimulator = BatchFaultSimulatorT<LaneU64>;
 extern template class BatchSimulatorT<LaneU64>;
+extern template class BatchSimulatorT<LaneU64, BatchOverlay::kStuckAt>;
 
 }  // namespace pml::sim

@@ -44,6 +44,18 @@ namespace pml::sim {
   return std::uint64_t{1} << (lane & 63);
 }
 
+/// Write the chunked mask with lanes [0, count) set into mask[0, chunks)
+/// (the active / counted lanes of a ragged batch).
+inline void prefix_lane_mask(std::size_t count, std::uint64_t* mask,
+                             std::size_t chunks) {
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lo = c * 64;
+    mask[c] = count >= lo + 64 ? ~std::uint64_t{0}
+              : count <= lo    ? 0
+                               : (std::uint64_t{1} << (count - lo)) - 1;
+  }
+}
+
 /// Read / write one lane of a chunked lane word (scalar cold-path helper).
 [[nodiscard]] inline bool extract_lane(const std::uint64_t* chunks,
                                        std::size_t lane) {
@@ -154,8 +166,12 @@ struct LaneAvx512 {
   static Word bor(Word a, Word b) { return _mm512_or_si512(a, b); }
   static Word bxor(Word a, Word b) { return _mm512_xor_si512(a, b); }
   static Word bnot(Word a) { return _mm512_xor_si512(a, ones()); }
-  /// a & ~b (the intrinsic negates its FIRST operand, hence the swap).
-  static Word andnot(Word a, Word b) { return _mm512_andnot_si512(b, a); }
+  /// a & ~b as a ternary-logic truth table (0x30 = A & ~B).  GCC 12's
+  /// _mm512_andnot_si512 reads an undefined passthrough operand and
+  /// trips -Wmaybe-uninitialized in every loop it is inlined into.
+  static Word andnot(Word a, Word b) {
+    return _mm512_ternarylogic_epi64(a, b, b, 0x30);
+  }
   static bool is_zero(Word a) { return _mm512_test_epi64_mask(a, a) == 0; }
   static std::uint64_t popcount(Word a) {
     alignas(64) std::uint64_t c[kChunks];

@@ -4,14 +4,18 @@
 // independent samples in a handful of machine ops.  The eval is templated
 // on a LaneWord trait (sim/lanes.hpp): LaneU64 is the 64-lane scalar
 // reference, LaneAvx2/LaneAvx512 widen the same code to 256/512 lanes in
-// per-flag TUs.  Shared by the zero-delay BatchSimulator, the stuck-at
-// BatchFaultSimulator, and the delay-accurate BatchEventSimulator so all
-// engines agree with netlist::eval_cell lane for lane by construction —
-// along with the flattened Op-list layout and port read helpers they have
-// in common.
+// per-flag TUs.  Shared by the zero-delay BatchSimulatorT (and its
+// stuck-at overlay, BatchFaultSimulatorT) and the delay-accurate
+// BatchEventSimulatorT so all engines agree with netlist::eval_cell lane
+// for lane by construction — along with the flattened Op-list layout and
+// LaneState, the lane storage, power-on reset and port I/O they have in
+// common.
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "pml/netlist/module.hpp"
@@ -25,7 +29,7 @@ namespace pml::sim {
 // this assert turns a new cell type into a hard compile error here rather
 // than a runtime throw in whichever backend first meets it.
 static_assert(netlist::kNumCellTypes == 10,
-              "new CellType: teach sim::eval_cell_lanes about it (every "
+              "new CellType: teach sim::eval_cell_lanes_w about it (every "
               "LaneWord backend inherits the fix at once)");
 
 /// Evaluate `type` across all L::kWidth lanes.  `b`/`s` are ignored by
@@ -61,16 +65,7 @@ template <LaneWord L>
     case CellType::kDff:
       break;
   }
-  throw std::logic_error("eval_cell_lanes: not a combinational cell");
-}
-
-/// 64-lane scalar form (the historical entry point; identical to
-/// eval_cell_lanes_w<LaneU64>).
-[[nodiscard]] inline std::uint64_t eval_cell_lanes(netlist::CellType type,
-                                                   std::uint64_t a,
-                                                   std::uint64_t b,
-                                                   std::uint64_t s) {
-  return eval_cell_lanes_w<LaneU64>(type, a, b, s);
+  throw std::logic_error("eval_cell_lanes_w: not a combinational cell");
 }
 
 /// Compact per-cell evaluation record with the pin indirection flattened
@@ -95,9 +90,9 @@ struct SwarDffOp {
                 c.out};
 }
 
-/// Combinational cells in levelized evaluation order (BatchSimulator,
-/// BatchFaultSimulator).  The `_into` form overwrites a reused vector so
-/// pooled simulators (rebind()) flatten without allocating once warm.
+/// Combinational cells in levelized evaluation order (BatchSimulatorT).
+/// The `_into` forms overwrite a reused vector so pooled simulators
+/// (rebind()) flatten without allocating once warm.
 inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
                                const netlist::Module& module,
                                const Levelization& lv) {
@@ -115,7 +110,7 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   return ops;
 }
 
-/// Every cell, indexed by cell id (BatchEventSimulator's wake table).
+/// Every cell, indexed by cell id (BatchEventSimulatorT's wake table).
 inline void swar_cell_ops_into(std::vector<SwarOp>& ops,
                                const netlist::Module& module) {
   ops.clear();
@@ -160,5 +155,155 @@ inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
   }
   return static_cast<std::int64_t>(raw);
 }
+
+/// The lane-state core of the batch engines.  `Engine` (CRTP) is
+/// BatchSimulatorT or BatchEventSimulatorT; it supplies
+/// set_net_chunks(net, chunks), through which every port write goes — the
+/// zero-delay engine writes the words, the event engine stages them as a
+/// time-0 event.  Everything else here is common: the bound module, the
+/// lane words (kChunks uint64_t per net), the DFF table with its
+/// captured-D words, the power-on state, and port transpose / readout.
+template <class Engine, LaneWord L>
+class LaneState {
+ public:
+  /// Lanes per word: one sample (or fault variant) per bit.
+  static constexpr std::size_t kLanes = L::kWidth;
+  /// uint64_t storage chunks per lane word (lane L -> chunk L/64).
+  static constexpr std::size_t kChunks = L::kChunks;
+
+  [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
+
+  // --- stimulus -------------------------------------------------------------
+  /// Drive an input port: values[L] is lane L's port value (LSB first),
+  /// `count` <= kLanes.  Lanes >= count are driven to 0.
+  void set_port(const netlist::Port& port, const std::uint64_t* values,
+                std::size_t count) {
+    if (count > kLanes) {
+      throw std::out_of_range("set_port: count > kLanes");
+    }
+    // Transpose sample-major port values into bit-major lane words.
+    std::uint64_t word[kChunks];
+    for (std::size_t i = 0; i < port.nets.size(); ++i) {
+      std::fill(word, word + kChunks, 0);
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        word[lane_chunk(lane)] |= ((values[lane] >> i) & 1u) << (lane & 63);
+      }
+      engine().set_net_chunks(port.nets[i], word);
+    }
+  }
+  void set_port(const std::string& name, const std::uint64_t* values,
+                std::size_t count) {
+    set_port(find_input(name), values, count);
+  }
+  /// Drive the same value into every lane of an input port.
+  void set_port_broadcast(const netlist::Port& port, std::uint64_t value) {
+    std::uint64_t word[kChunks];
+    for (std::size_t i = 0; i < port.nets.size(); ++i) {
+      std::fill(word, word + kChunks,
+                ((value >> i) & 1u) != 0 ? ~std::uint64_t{0} : 0);
+      engine().set_net_chunks(port.nets[i], word);
+    }
+  }
+  void set_port_broadcast(const std::string& name, std::uint64_t value) {
+    set_port_broadcast(find_input(name), value);
+  }
+
+  // --- observation ----------------------------------------------------------
+  /// Chunk `c` (lanes [64c, 64c+64)) of a net.
+  [[nodiscard]] std::uint64_t net_chunk(netlist::NetId net,
+                                        std::size_t c) const {
+    return values_[net * kChunks + c];
+  }
+  [[nodiscard]] bool net(netlist::NetId net, std::size_t lane) const {
+    return extract_lane(values_.data() + net * kChunks, lane);
+  }
+  /// Read a port in one lane as an unsigned integer (LSB first).
+  [[nodiscard]] std::uint64_t port_unsigned(const netlist::Port& port,
+                                            std::size_t lane) const {
+    if (lane >= kLanes) throw std::out_of_range("port_unsigned: bad lane");
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < port.nets.size(); ++i) {
+      v |= static_cast<std::uint64_t>(
+               extract_lane(values_.data() + port.nets[i] * kChunks, lane))
+           << i;
+    }
+    return v;
+  }
+  [[nodiscard]] std::uint64_t port_unsigned(const std::string& name,
+                                            std::size_t lane) const {
+    return port_unsigned(find_port(name), lane);
+  }
+  /// Read a port in one lane as a two's complement signed integer.
+  [[nodiscard]] std::int64_t port_signed(const netlist::Port& port,
+                                         std::size_t lane) const {
+    return sign_extend_port(port_unsigned(port, lane), port.nets.size());
+  }
+  [[nodiscard]] std::int64_t port_signed(const std::string& name,
+                                         std::size_t lane) const {
+    return port_signed(find_port(name), lane);
+  }
+
+  [[nodiscard]] const netlist::Module& module() const { return *module_; }
+  [[nodiscard]] const Levelization& levelization() const { return *lv_; }
+
+ protected:
+  /// Bind to a module, reusing every vector's capacity (a pooled engine
+  /// rebound to same-shaped modules performs zero heap allocation).  The
+  /// module and levelization are borrowed and must outlive the binding.
+  void bind(const netlist::Module& module,
+            std::shared_ptr<const Levelization> lv) {
+    module_ = &module;
+    lv_ = std::move(lv);
+    swar_dff_ops_into(dffs_, module, *lv_);
+    values_.assign(module.num_nets() * kChunks, 0);
+    dff_state_.assign(dffs_.size() * kChunks, 0);
+  }
+  /// Power-on state in every lane: all nets 0, the constant-1 net 1, each
+  /// DFF (and its Q net) at its init value.
+  void power_on() {
+    std::fill(values_.begin(), values_.end(), 0);
+    std::fill_n(values_.begin() + netlist::kConst1 * kChunks, kChunks,
+                ~std::uint64_t{0});
+    for (std::size_t i = 0; i < dffs_.size(); ++i) {
+      // SwarDffOp::init is 0 or ~0 — broadcast it to every chunk.
+      std::fill_n(dff_state_.begin() + i * kChunks, kChunks, dffs_[i].init);
+      std::fill_n(values_.begin() + dffs_[i].q * kChunks, kChunks,
+                  dffs_[i].init);
+    }
+  }
+  /// Phase 1 of two-phase clocking: sample every DFF's D word (so DFF
+  /// chains shift correctly regardless of cell order).
+  void capture_dffs() {
+    for (std::size_t i = 0; i < dffs_.size(); ++i) {
+      L::store(dff_state_.data() + i * kChunks,
+               L::load(values_.data() + dffs_[i].d * kChunks));
+    }
+  }
+  void check_net(netlist::NetId net, const char* what) const {
+    if (net * kChunks >= values_.size()) {
+      throw std::out_of_range(std::string(what) + ": bad net");
+    }
+  }
+  [[nodiscard]] const netlist::Port& find_input(const std::string& name) const {
+    const netlist::Port* port = module_->find_input(name);
+    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
+    return *port;
+  }
+  [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
+    const netlist::Port* port = module_->find_output(name);
+    if (port == nullptr) port = module_->find_input(name);
+    if (port == nullptr) throw std::invalid_argument("no port: " + name);
+    return *port;
+  }
+
+  const netlist::Module* module_ = nullptr;
+  std::shared_ptr<const Levelization> lv_;
+  std::vector<SwarDffOp> dffs_;
+  std::vector<std::uint64_t> values_;     ///< kChunks words per net
+  std::vector<std::uint64_t> dff_state_;  ///< captured D words, per DFF
+
+ private:
+  Engine& engine() { return static_cast<Engine&>(*this); }
+};
 
 }  // namespace pml::sim

@@ -18,8 +18,11 @@
 PML_INSTALL_COUNTING_ALLOC_HOOK;
 
 #include "pml/arch/sequential_svm.hpp"
+#include "pml/core/activity.hpp"
 #include "pml/core/evaluate.hpp"
+#include "pml/core/verify.hpp"
 #include "pml/quant/svm_quant.hpp"
+#include "pml/sim/backend.hpp"
 
 namespace pml::core {
 namespace {
@@ -115,6 +118,49 @@ TEST(EvalAlloc, SteadyStateWideReplayIsAllocationFree) {
   EvaluateOptions opts = zero_alloc_options();
   opts.power_samples = wl.feature_codes.size();
   EXPECT_EQ(steady_state_allocs(wl, opts), 0u);
+}
+
+// Verify on AVX-512 and replay activity on AVX2 through one context, round
+// after round.  Each (engine, backend) pair has its own pooled slot, so
+// switching backend between the two phases never evicts a warm engine.
+TEST(EvalAlloc, AlternatingWideBackendsStayPooled) {
+  if (!sim::backend_available(sim::Backend::kAvx2) ||
+      !sim::backend_available(sim::Backend::kAvx512)) {
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 backend";
+  }
+  const auto q = tiny_model();
+  auto circuit = arch::build_sequential_svm(q);
+  const auto lib = cells::CellLibrary::egfet();
+  const CircuitWorkload wl = tiny_workload(q);
+
+  EvalContext ctx;
+  const auto lv = ctx.levelize(circuit.module);
+  VerifyOptions verify;
+  verify.num_threads = 1;
+  verify.levelization = lv;
+  verify.context = &ctx;
+  verify.backend = sim::Backend::kAvx512;
+  ActivityOptions activity;
+  activity.num_threads = 1;
+  activity.levelization = lv;
+  activity.context = &ctx;
+  activity.backend = sim::Backend::kAvx2;
+  sim::ActivityStats stats;
+
+  // Rounds 1 and 2 warm the pools; round 3 is measured.
+  std::uint64_t allocs = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t before = util::thread_alloc_count();
+    const VerifyResult result = verify_workload(
+        circuit.module, circuit.cycles_per_inference, wl, verify);
+    collect_activity_into(stats, circuit.module, lib,
+                          circuit.cycles_per_inference, wl,
+                          wl.feature_codes.size(), activity);
+    allocs = util::thread_alloc_count() - before;
+    EXPECT_TRUE(result.ok());
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(stats.cycles, 0u);
 }
 
 TEST(EvalAlloc, PooledAndFreshReportsAgree) {

@@ -280,7 +280,8 @@ TEST(SimBackend, PinnedBackendsIgnoreLaneCount) {
 }
 
 TEST(SimBackend, EvalCellLanesRejectsSequentialCells) {
-  EXPECT_THROW((void)sim::eval_cell_lanes(netlist::CellType::kDff, 1, 0, 0),
+  EXPECT_THROW((void)sim::eval_cell_lanes_w<sim::LaneU64>(
+                   netlist::CellType::kDff, 1, 0, 0),
                std::logic_error);
 }
 

@@ -291,12 +291,14 @@ TEST(BatchSim, DffInitAndReset) {
   const auto d = m.add_input_port("d", 1)[0];
   m.add_output_port("q", {m.dff(d, /*init=*/true)});
   BatchSimulator sim(m);
-  EXPECT_EQ(sim.net_lanes(m.find_output("q")->nets[0]), ~std::uint64_t{0});
-  sim.set_net(d, 0);
+  const netlist::NetId q = m.find_output("q")->nets[0];
+  EXPECT_EQ(sim.net_chunk(q, 0), ~std::uint64_t{0});
+  const std::uint64_t low[BatchSimulator::kChunks] = {};
+  sim.set_net_chunks(d, low);
   sim.step();
-  EXPECT_EQ(sim.net_lanes(m.find_output("q")->nets[0]), 0u);
+  EXPECT_EQ(sim.net_chunk(q, 0), 0u);
   sim.reset();
-  EXPECT_EQ(sim.net_lanes(m.find_output("q")->nets[0]), ~std::uint64_t{0});
+  EXPECT_EQ(sim.net_chunk(q, 0), ~std::uint64_t{0});
   EXPECT_EQ(sim.cycles(), 0u);
 }
 

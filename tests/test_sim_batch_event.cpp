@@ -169,8 +169,9 @@ void expect_batch_event_equivalent(
   const std::size_t rounds = streams[0].size();
 
   BatchEventSimulator batch(m, lib, quantum, lv);
-  batch.set_count_mask(lanes == kLanes ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << lanes) - 1);
+  std::uint64_t count_mask[BatchEventSimulator::kChunks];
+  prefix_lane_mask(lanes, count_mask, BatchEventSimulator::kChunks);
+  batch.set_count_mask_chunks(count_mask);
   // batch_outputs[round][lane][output port] observed after each round.
   std::vector<std::vector<std::vector<std::uint64_t>>> batch_outputs(rounds);
   std::uint64_t lane_values[kLanes];
@@ -350,7 +351,7 @@ TEST(BatchEventSim, CountsGlitchesLaneForLane) {
   for (int i = 0; i < 10; ++i) {
     const bool v = (i % 2) == 0;
     scalar.set_net(a, v);
-    batch.set_net(a, v ? ~std::uint64_t{0} : 0);  // same edge in all lanes
+    batch.set_port_broadcast("a", v ? 1 : 0);  // same edge in all lanes
     scalar.settle();
     batch.settle();
     EXPECT_EQ(scalar.port_unsigned("y"), 0u);
@@ -407,8 +408,9 @@ TEST(BatchEventSim, CountMaskExcludesNoisyLanes) {
   const auto ports = feature_port_list(circuit.module, 3);
   BatchEventSimulator quiet(circuit.module, lib, 0.02);
   BatchEventSimulator noisy(circuit.module, lib, 0.02);
-  quiet.set_count_mask(1);
-  noisy.set_count_mask(1);
+  const std::uint64_t lane0[BatchEventSimulator::kChunks] = {1};
+  quiet.set_count_mask_chunks(lane0);
+  noisy.set_count_mask_chunks(lane0);
   const auto xs = random_samples(kLanes, 3, q.input_format.max_code(), 5);
   std::uint64_t lane_values[kLanes];
   for (std::size_t j = 0; j < 3; ++j) {
@@ -438,13 +440,14 @@ TEST(BatchEventSim, DffInitAndReset) {
   const auto lib = cells::CellLibrary::egfet();
   BatchEventSimulator sim(m, lib);
   const NetId qn = m.find_output("q")->nets[0];
-  EXPECT_EQ(sim.net_lanes(qn), ~std::uint64_t{0});
-  sim.set_net(d, 0);
+  EXPECT_EQ(sim.net_chunk(qn, 0), ~std::uint64_t{0});
+  const std::uint64_t low[BatchEventSimulator::kChunks] = {};
+  sim.set_net_chunks(d, low);
   sim.step();
-  EXPECT_EQ(sim.net_lanes(qn), 0u);
+  EXPECT_EQ(sim.net_chunk(qn, 0), 0u);
   EXPECT_GT(sim.activity().cycles, 0u);
   sim.reset();
-  EXPECT_EQ(sim.net_lanes(qn), ~std::uint64_t{0});
+  EXPECT_EQ(sim.net_chunk(qn, 0), ~std::uint64_t{0});
   EXPECT_EQ(sim.activity().cycles, 0u);
   EXPECT_EQ(sim.activity().dff_clock_events, 0u);
 }
@@ -471,7 +474,8 @@ TEST(BatchEventSim, BoundsChecks) {
   EXPECT_THROW(sim.set_port("nope", nullptr, 0), std::invalid_argument);
   EXPECT_THROW((void)sim.port_unsigned("nope", 0), std::invalid_argument);
   EXPECT_THROW((void)sim.port_unsigned("p", kLanes), std::out_of_range);
-  EXPECT_THROW(sim.set_net(99999, 0), std::out_of_range);
+  const std::uint64_t word[BatchEventSimulator::kChunks] = {};
+  EXPECT_THROW(sim.set_net_chunks(99999, word), std::out_of_range);
   EXPECT_THROW(BatchEventSimulator(m, lib, 0.0), std::invalid_argument);
   EXPECT_THROW(BatchEventSimulator(m, lib, 0.01, nullptr),
                std::invalid_argument);

@@ -16,7 +16,7 @@
 #include "pml/arch/parallel_svm.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/fault_campaign.hpp"
-#include "pml/sim/batch_fault_sim.hpp"
+#include "pml/sim/batch_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
 
 namespace pml::sim {
@@ -139,7 +139,7 @@ void expect_fault_lanewise_equal(
   batch.reset();
   for (std::size_t i = 0; i < samples.size(); ++i) {
     for (std::size_t j = 0; j < in_ports.size(); ++j) {
-      batch.set_port(in_ports[j], samples[i][j]);
+      batch.set_port_broadcast(in_ports[j], samples[i][j]);
       for (auto& scalar : scalars) scalar.set_port(in_ports[j], samples[i][j]);
     }
     if (cycles == 0) {
@@ -255,7 +255,7 @@ TEST(BatchFaultSim, LaneZeroStaysGoldenUnderHeavyFaults) {
   const auto xs = svm_samples(6, 4, q.input_format.max_code(), 13);
   for (const auto& x : xs) {
     for (std::size_t j = 0; j < x.size(); ++j) {
-      batch.set_port("x" + std::to_string(j), x[j]);
+      batch.set_port_broadcast("x" + std::to_string(j), x[j]);
       golden.set_port("x" + std::to_string(j), x[j]);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) {
@@ -282,17 +282,17 @@ TEST(BatchFaultSim, FaultBookkeepingAndBounds) {
   EXPECT_EQ(sim.num_faults(), 0u);
   sim.set_fault(out, 1, true);
   EXPECT_EQ(sim.num_faults(), 1u);
-  EXPECT_EQ(sim.fault1_mask(out), 0b10u);
+  EXPECT_EQ(sim.fault1_chunk(out, 0), 0b10u);
   // Re-sticking the same (net, lane) overwrites instead of accumulating.
   sim.set_fault(out, 1, false);
   EXPECT_EQ(sim.num_faults(), 1u);
-  EXPECT_EQ(sim.fault0_mask(out), 0b10u);
-  EXPECT_EQ(sim.fault1_mask(out), 0u);
+  EXPECT_EQ(sim.fault0_chunk(out, 0), 0b10u);
+  EXPECT_EQ(sim.fault1_chunk(out, 0), 0u);
   sim.set_fault(out, 5, true);
   EXPECT_EQ(sim.num_faults(), 2u);
   sim.clear_faults();
   EXPECT_EQ(sim.num_faults(), 0u);
-  EXPECT_EQ(sim.fault0_mask(out), 0u);
+  EXPECT_EQ(sim.fault0_chunk(out, 0), 0u);
 
   EXPECT_THROW(sim.set_fault(out, kLanes, true), std::out_of_range);
   EXPECT_THROW(sim.set_fault(netlist::kConst0, 1, true),
@@ -313,7 +313,7 @@ TEST(BatchFaultSim, ClearFaultsTakesEffectWithoutReset) {
   const NetId y = m.add_gate_raw(CellType::kBuf, a);
   m.add_output_port("y", {y});
   BatchFaultSimulator sim(m);
-  sim.set_net(a, true);
+  sim.set_port_broadcast("x", 1);
   sim.set_fault(y, 1, false);
   sim.propagate();
   EXPECT_EQ(sim.port_unsigned("y", 0), 1u);
