@@ -5,22 +5,43 @@
 // The power-replay samples are cut into contiguous chunks of
 // `chunk_samples`; each chunk becomes one lane-stream of a bit-parallel
 // sim::BatchEventSimulator, and batches of kLanes chunks (64 on the u64
-// reference backend, wider under AVX) are sharded across
-// std::thread workers (each worker owns one simulator; all workers share
-// one Levelization — the same pattern as core::verify_workload).  Each
-// batch warms up every lane on its chunk's first sample, clears the
-// counters, then replays the chunks round by round; a lane whose chunk is
-// exhausted (only possible for the workload's ragged final chunk) holds
-// its inputs and is masked out of counting, so the merged ActivityStats
-// are *bit-exact* against the scalar reference protocol:
+// reference backend, wider under AVX) run on util::TaskPool workers
+// (each worker slot owns its engines; all share one Levelization — the
+// same pattern as core::verify_workload).  A batch replays its chunks
+// round by round; a lane whose chunk is exhausted (only possible for the
+// workload's ragged final chunk) holds its inputs and is masked out of
+// counting.  The merged ActivityStats are *bit-exact* against the scalar
+// reference protocol:
 //
 //   for each chunk, independently: reset a scalar EventSimulator, apply
 //   the chunk's first sample and settle/clock cycles_per_inference times
 //   (warm-up, not counted), then replay every sample of the chunk in
 //   order, counting; sum the per-chunk ActivityStats.
 //
-// Chunking is deterministic in the sample count alone, so the merged
-// counts never depend on the worker/thread configuration.
+// How a batch gets there:
+//
+//  - Zero-delay warm-up.  The uncounted warm-up runs on the worker's
+//    zero-delay sim::BatchSimulator, and the event engine adopts its
+//    settled lane state (sim::LaneState::import_state).  The netlists are
+//    acyclic, so the state after an inference is unique and this equals
+//    warming up on the event engine; only the counted rounds pay for
+//    delay-accurate simulation.
+//  - Segments.  Unless the replay is pinned to one thread, each batch's
+//    counted rounds (if at least two) split into two segments, claimed by
+//    any pool worker, so even a one-batch replay fills two workers.
+//    Segment 0 warms up as above; segment 1 warms up, from reset, on the
+//    samples just before its first round, then counts its rounds.
+//  - Seam check.  That warm-up is exact only if a lane's state at an
+//    inference boundary depends on the last input alone — true of every
+//    Table I design, not of every netlist.  So after the join, the end
+//    state of segment k-1 must equal the warmed state of segment k word
+//    for word; if any seam differs, the whole replay re-runs unsplit.
+//    The counts are therefore those of the unsplit replay on every
+//    netlist.
+//
+// Chunking is deterministic in the sample count alone, and segmenting
+// never changes the counts, so the merged counts do not depend on the
+// worker/thread configuration or the backend.
 
 #include <cstddef>
 #include <memory>
@@ -34,8 +55,9 @@
 namespace pml::core {
 
 struct ActivityOptions {
-  /// Worker threads; 0 = one per hardware thread (clamped to the batch
-  /// count, so small workloads never spawn idle threads).
+  /// Worker threads; 0 = the shared TaskPool's width (clamped to the
+  /// batch x segment count, so small workloads never spawn idle threads).
+  /// 1 replays every batch unsplit on the calling thread.
   std::size_t num_threads = 0;
   /// Contiguous samples per lane-stream.  Larger chunks amortize the
   /// warm-up round over more counted samples but expose less lane
@@ -52,12 +74,13 @@ struct ActivityOptions {
   /// analyses; nullptr derives one internally.
   std::shared_ptr<const sim::Levelization> levelization;
   /// Optional pooled scratch: workers rebind the context's pooled
-  /// BatchEventSimulators and accumulate into its pooled per-slot
-  /// ActivityStats — the zero-allocation path of evaluate_circuit.  The
+  /// zero-delay and event engines, accumulate into its pooled per-slot
+  /// ActivityStats and write seam snapshots into its pooled buffer — the
+  /// zero-allocation path of evaluate_circuit.  The
   /// context must not be shared with a concurrent evaluation; nullptr
   /// allocates per-call scratch as before.
   EvalContext* context = nullptr;
-  /// Optional cooperative cancellation, checked between worker batches
+  /// Optional cooperative cancellation, checked between worker segments
   /// (throws util::Cancelled).  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
   /// SWAR lane-word backend (kAuto = u64 when every chunk fits its 64
@@ -90,5 +113,25 @@ void collect_activity_into(sim::ActivityStats& out,
                            const CircuitWorkload& workload,
                            std::size_t num_samples,
                            const ActivityOptions& options = {});
+
+namespace detail {
+
+/// What a replay's schedule did (see the header comment).
+struct ReplayTrace {
+  std::size_t segments = 0;        ///< per batch, after clamping
+  std::size_t seam_fallbacks = 0;  ///< 1 if it re-ran unsplit
+};
+
+/// collect_activity_into with `segments` counted-round segments per batch
+/// (0 = the automatic choice; clamped to the counted rounds of the
+/// shortest batch).  Not part of the public API: the differential tests
+/// use it to pin the segment count.
+ReplayTrace collect_activity_scheduled(
+    sim::ActivityStats& out, const netlist::Module& module,
+    const cells::CellLibrary& lib, int cycles_per_inference,
+    const CircuitWorkload& workload, std::size_t num_samples,
+    const ActivityOptions& options, std::size_t segments);
+
+}  // namespace detail
 
 }  // namespace pml::core

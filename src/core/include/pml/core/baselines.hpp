@@ -18,6 +18,7 @@
 #include "pml/core/evaluate.hpp"
 #include "pml/core/hardware_report.hpp"
 #include "pml/ml/dataset.hpp"
+#include "pml/ml/multiclass.hpp"
 #include "pml/quant/mlp_quant.hpp"
 #include "pml/quant/svm_quant.hpp"
 
@@ -39,11 +40,22 @@ struct ParallelSvmBaseline {
   HardwareReport hw;
 };
 
-/// Train OvO on `train`, quantize, (optionally) approximate, build the
-/// parallel circuit, verify bit-exact, and measure.
+/// Train OvO on `train` (options.C, options.seed), then build as below.
 [[nodiscard]] ParallelSvmBaseline build_parallel_svm_baseline(
     const ml::Dataset& train, const ml::Dataset& test,
     const cells::CellLibrary& lib, const ParallelSvmBaselineOptions& options);
+
+/// Quantize an OvO `model` trained on `train`, (optionally) approximate,
+/// build the parallel circuit, verify bit-exact, and measure.  SVM [2] and
+/// SVM [3] share one training this way.
+[[nodiscard]] ParallelSvmBaseline build_parallel_svm_baseline(
+    const ml::MulticlassSvm& model, const ml::Dataset& train,
+    const ml::Dataset& test, const cells::CellLibrary& lib,
+    const ParallelSvmBaselineOptions& options);
+
+/// The OvO training behind build_parallel_svm_baseline.
+[[nodiscard]] ml::MulticlassSvm train_parallel_svm_baseline(
+    const ml::Dataset& train, const ParallelSvmBaselineOptions& options);
 
 struct MlpBaselineOptions {
   int hidden = 4;

@@ -5,8 +5,9 @@
 // One EvalContext owns every piece of reusable storage an evaluation
 // needs — the shared Levelization and its arena-backed working arrays,
 // per worker slot one pooled zero-delay and one event engine per SIMD
-// backend plus an ActivityStats partial, the optimizer's module copy, and
-// the timing/activity/power result records.  evaluate_circuit_into
+// backend plus an ActivityStats partial, the power replay's seam
+// snapshots, the optimizer's module copy, and the timing/activity/power
+// result records.  evaluate_circuit_into
 // threads it through verify_workload and collect_activity (via
 // VerifyOptions::context / ActivityOptions::context), so after the first
 // evaluation warms the capacities up, steady-state evaluations of
@@ -27,6 +28,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -56,8 +58,8 @@ class EvalContext {
   /// deque so growing the pool never moves (or copies) a simulator that
   /// an earlier evaluation warmed up.
   struct WorkerScratch {
-    EngineSlots batch;            ///< verification (BatchSimulatorT)
-    EngineSlots event;            ///< power replay (BatchEventSimulatorT)
+    EngineSlots batch;  ///< verification, replay warm-ups (BatchSimulatorT)
+    EngineSlots event;  ///< power replay (BatchEventSimulatorT)
     sim::ActivityStats activity;  ///< this slot's partial counts
   };
 
@@ -90,6 +92,7 @@ class EvalContext {
   // each evaluation overwrites them completely.
   std::vector<const netlist::Port*> ports;  ///< feature-port resolution
   sim::ActivityStats merged_activity;       ///< merged power-replay counts
+  std::vector<std::uint64_t> seam_states;   ///< power-replay seam snapshots
   sta::TimingReport timing;
   power::PowerReport power;
   netlist::Module module_scratch;  ///< the optimizer's working copy

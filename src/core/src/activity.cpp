@@ -33,25 +33,13 @@ std::size_t resolve_chunk_samples(std::size_t requested, std::size_t n) {
 
 }  // namespace
 
-sim::ActivityStats collect_activity(const netlist::Module& module,
-                                    const cells::CellLibrary& lib,
-                                    int cycles_per_inference,
-                                    const CircuitWorkload& workload,
-                                    std::size_t num_samples,
-                                    const ActivityOptions& options) {
-  sim::ActivityStats merged;
-  collect_activity_into(merged, module, lib, cycles_per_inference, workload,
-                        num_samples, options);
-  return merged;
-}
+namespace detail {
 
-void collect_activity_into(sim::ActivityStats& out,
-                           const netlist::Module& module,
-                           const cells::CellLibrary& lib,
-                           int cycles_per_inference,
-                           const CircuitWorkload& workload,
-                           std::size_t num_samples,
-                           const ActivityOptions& options) {
+ReplayTrace collect_activity_scheduled(
+    sim::ActivityStats& out, const netlist::Module& module,
+    const cells::CellLibrary& lib, int cycles_per_inference,
+    const CircuitWorkload& workload, std::size_t num_samples,
+    const ActivityOptions& options, std::size_t segments) {
   if (workload.feature_codes.empty()) {
     throw std::invalid_argument("collect_activity: empty workload");
   }
@@ -76,6 +64,7 @@ void collect_activity_into(sim::ActivityStats& out,
       options.levelization != nullptr ? options.levelization
                                       : sim::levelize_shared(module);
 
+  ReplayTrace trace;
   backends::ActivityJob job;
   job.module = &module;
   job.lv = lv;
@@ -91,6 +80,8 @@ void collect_activity_into(sim::ActivityStats& out,
   job.num_chunks = (n + job.chunk_samples - 1) / job.chunk_samples;
   job.num_threads = options.num_threads;
   job.context = options.context;
+  job.segments = segments;
+  job.trace = &trace;
 
   // Chunking is deterministic in chunk_samples alone; only the grouping
   // of chunks into batches (and so the thread clamp) depends on the
@@ -100,6 +91,33 @@ void collect_activity_into(sim::ActivityStats& out,
   const backends::Kernels& k = backends::kernels_for(
       sim::resolve_backend(options.backend, job.num_chunks));
   k.activity(job, out);
+  return trace;
+}
+
+}  // namespace detail
+
+sim::ActivityStats collect_activity(const netlist::Module& module,
+                                    const cells::CellLibrary& lib,
+                                    int cycles_per_inference,
+                                    const CircuitWorkload& workload,
+                                    std::size_t num_samples,
+                                    const ActivityOptions& options) {
+  sim::ActivityStats merged;
+  collect_activity_into(merged, module, lib, cycles_per_inference, workload,
+                        num_samples, options);
+  return merged;
+}
+
+void collect_activity_into(sim::ActivityStats& out,
+                           const netlist::Module& module,
+                           const cells::CellLibrary& lib,
+                           int cycles_per_inference,
+                           const CircuitWorkload& workload,
+                           std::size_t num_samples,
+                           const ActivityOptions& options) {
+  (void)detail::collect_activity_scheduled(out, module, lib,
+                                           cycles_per_inference, workload,
+                                           num_samples, options, 0);
 }
 
 }  // namespace pml::core

@@ -15,7 +15,9 @@
 //    only changes which word a sample rides in, never its value stream.
 //  - activity: chunk_samples defines the per-chunk replay streams; each
 //    chunk warms up and counts independently, so the summed counters are
-//    independent of how chunks are grouped into batches.
+//    independent of how chunks are grouped into batches.  Splitting a
+//    batch's rounds into segments is checked at every seam and undone
+//    when a seam differs, so it never changes the counters either.
 //  - fault: every batch starts from power-on reset and variants are
 //    lane-independent, so per-variant counts do not depend on packing
 //    (63 vs 255 vs 511 variants per pass).
@@ -126,6 +128,7 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
       PML_OBS_COUNT("sim.batch.batches", 1);
       const std::size_t begin = b * kLanes;
       const std::size_t count = std::min(kLanes, num_samples - begin);
+      PML_OBS_COUNT("sim.batch.live_lanes", count);
       bsim.set_active_lanes(count);
       for (std::size_t j = 0; j < ports.size(); ++j) {
         for (std::size_t lane = 0; lane < count; ++lane) {
@@ -163,142 +166,216 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
 
 // --- activity ---------------------------------------------------------------
 
-/// One worker's claim: replay batch `b` (chunks [b*kLanes, ...)) through
-/// its own BatchEventSimulator and merge the counts into `local`.
-template <class L>
-void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
-                        std::size_t num_chunks, std::size_t chunk_samples,
-                        std::size_t num_samples, bool sequential,
-                        int cycles_per_inference,
-                        const std::vector<std::vector<std::int64_t>>& samples,
-                        const std::vector<const netlist::Port*>& ports,
-                        sim::ActivityStats& local) {
-  constexpr std::size_t kLanes = L::kWidth;
-  const std::size_t chunk_begin = batch * kLanes;
-  const std::size_t lanes = std::min(kLanes, num_chunks - chunk_begin);
-  // Occupancy: chunk-carrying lanes, against the lane words the engine
-  // evaluates (sim.batch_event.lane_words).  Sums to the chunk count on
-  // every backend.
-  PML_OBS_COUNT("sim.batch_event.live_lanes", lanes);
-  std::uint64_t lane_values[kLanes];
-  std::uint64_t mask[L::kChunks];
+/// Lane layout of one replay batch: lane `l` replays chunk chunk_begin + l.
+struct ReplayBatch {
+  std::size_t chunk_begin = 0;
+  std::size_t lanes = 0;
+  std::size_t chunk_samples = 0;
+  std::size_t num_samples = 0;
 
-  // Sample index for chunk-lane L at round r, clamped to the chunk's last
-  // sample once the (ragged final) chunk is exhausted: holding the inputs
-  // produces no events in that lane, and the count mask excludes it.
-  const auto sample_at = [&](std::size_t lane, std::size_t r) {
-    const std::size_t begin = (chunk_begin + lane) * chunk_samples;
-    const std::size_t len =
-        std::min(chunk_samples, num_samples - begin);  // >= 1
-    return begin + std::min(r, len - 1);
-  };
-  const auto lane_len = [&](std::size_t lane) {
+  /// Samples in lane `lane`'s chunk (>= 1; only the final chunk is ragged).
+  [[nodiscard]] std::size_t len(std::size_t lane) const {
     return std::min(chunk_samples,
                     num_samples - (chunk_begin + lane) * chunk_samples);
-  };
-
-  const auto apply_round = [&](std::size_t r) {
-    for (std::size_t j = 0; j < ports.size(); ++j) {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        lane_values[lane] =
-            static_cast<std::uint64_t>(samples[sample_at(lane, r)][j]);
-      }
-      bsim.set_port(*ports[j], lane_values, lanes);
-    }
-    if (sequential) {
-      for (int c = 0; c < cycles_per_inference; ++c) bsim.step();
-    } else {
-      bsim.settle();
-    }
-  };
-
-  bsim.reset();
-  // Warm-up round on each chunk's first sample, then discard the counts
-  // so every lane starts from its steady state (the scalar protocol).
-  sim::prefix_lane_mask(lanes, mask, L::kChunks);
-  bsim.set_count_mask_chunks(mask);
-  apply_round(0);
-  bsim.clear_activity();
-
-  // Replay rounds; chunk 0 of the batch is always the longest.
-  const std::size_t rounds = lane_len(0);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::fill(mask, mask + L::kChunks, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (r < lane_len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
-    }
-    bsim.set_count_mask_chunks(mask);
-    apply_round(r);
   }
-  local.accumulate(bsim.activity());
+  /// Lane `lane`'s sample at round `r`, held at its chunk's last sample
+  /// once a ragged chunk is exhausted: holding the inputs produces no
+  /// events in that lane, and the count mask excludes it.
+  [[nodiscard]] std::size_t sample(std::size_t lane, std::size_t r) const {
+    return (chunk_begin + lane) * chunk_samples + std::min(r, len(lane) - 1);
+  }
+  /// Counted rounds: lane 0 carries the batch's longest chunk.
+  [[nodiscard]] std::size_t rounds() const { return len(0); }
+};
+
+/// Drive every lane's round-`r` sample into `sim` (either engine) and run
+/// one inference.
+template <class Sim>
+void run_replay_round(Sim& sim, const ActivityJob& job,
+                      const ReplayBatch& batch, std::size_t r) {
+  std::uint64_t lane_values[Sim::kLanes];
+  for (std::size_t j = 0; j < job.ports->size(); ++j) {
+    for (std::size_t lane = 0; lane < batch.lanes; ++lane) {
+      lane_values[lane] = static_cast<std::uint64_t>(
+          (*job.samples)[batch.sample(lane, r)][j]);
+    }
+    sim.set_port(*(*job.ports)[j], lane_values, batch.lanes);
+  }
+  if (job.sequential) {
+    for (int c = 0; c < job.cycles_per_inference; ++c) sim.step();
+  } else if constexpr (requires { sim.settle(); }) {
+    sim.settle();
+  } else {
+    sim.propagate();
+  }
+}
+
+/// Replay counted rounds [r0, r1) of `batch` and add their counts to
+/// `local`.  The lanes first warm up on the zero-delay engine, from reset,
+/// on the samples of round max(r0, 1) - 1, and the event engine adopts
+/// that settled state.  `warm_state` / `end_state` (either may be null)
+/// receive the lane state after the warm-up and after round r1 - 1, for
+/// the seam check.
+template <class L>
+void run_replay_segment(sim::BatchSimulatorT<L>& zsim,
+                        sim::BatchEventSimulatorT<L>& esim,
+                        const ActivityJob& job, const ReplayBatch& batch,
+                        std::size_t r0, std::size_t r1,
+                        std::uint64_t* warm_state, std::uint64_t* end_state,
+                        sim::ActivityStats& local) {
+  zsim.reset();
+  zsim.set_active_lanes(batch.lanes);
+  PML_OBS_COUNT("sim.batch.live_lanes", batch.lanes);
+  run_replay_round(zsim, job, batch, r0 == 0 ? 0 : r0 - 1);
+  esim.import_state(zsim);
+  if (warm_state != nullptr) zsim.export_state(warm_state);
+
+  esim.clear_activity();
+  std::uint64_t mask[L::kChunks];
+  for (std::size_t r = r0; r < r1; ++r) {
+    std::fill(mask, mask + L::kChunks, 0);
+    for (std::size_t lane = 0; lane < batch.lanes; ++lane) {
+      if (r < batch.len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
+    }
+    esim.set_count_mask_chunks(mask);
+    run_replay_round(esim, job, batch, r);
+  }
+  local.accumulate(esim.activity());
+  if (end_state != nullptr) esim.export_state(end_state);
+}
+
+/// Counted-round segments per batch: two, so a replay with fewer batches
+/// than workers still fills them (more segments measured no faster),
+/// unless the replay is pinned to one thread.
+[[nodiscard]] inline std::size_t replay_segments(const ActivityJob& job) {
+  if (job.segments != 0) return job.segments;
+  return job.num_threads == 1 ? 1 : 2;
 }
 
 template <class L>
 void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   constexpr std::size_t kLanes = L::kWidth;
-  const std::vector<const netlist::Port*>& ports = *job.ports;
-  const std::size_t n = job.num_samples;
-  const std::size_t chunk = job.chunk_samples;
-  const std::size_t num_chunks = job.num_chunks;
-  const std::size_t num_batches = (num_chunks + kLanes - 1) / kLanes;
-  const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
+  const std::size_t num_batches = (job.num_chunks + kLanes - 1) / kLanes;
+  const auto batch_at = [&](std::size_t b) {
+    const std::size_t begin = b * kLanes;
+    return ReplayBatch{begin, std::min(kLanes, job.num_chunks - begin),
+                       job.chunk_samples, job.num_samples};
+  };
+  // Every segment needs a counted round, and the last batch is the
+  // shortest.
+  const std::size_t segments =
+      std::min(replay_segments(job), batch_at(num_batches - 1).rounds());
 
-  std::atomic<std::size_t> next_batch{0};
+  // Seam snapshots: for batch b and seam k (between segments k-1 and k),
+  // the warmed state of segment k, then the end state of segment k-1.
+  // Each segment writes its own slots, so workers need no locking.
+  const std::size_t words =
+      sim::BatchEventSimulatorT<L>::state_words(*job.module, *job.lv);
+  std::vector<std::uint64_t> local_seams;
+  std::vector<std::uint64_t>& seams =
+      job.context != nullptr ? job.context->seam_states : local_seams;
+  seams.assign(2 * num_batches * (segments - 1) * words, 0);
+  const auto seam = [&](std::size_t b, std::size_t k, bool end) {
+    return seams.data() + ((b * (segments - 1) + k - 1) * 2 + end) * words;
+  };
+
   // One stats slot per worker; summed after the join.  Addition of
   // integer counts is commutative, so the total is independent of which
-  // worker claims which batch.  Pooled slots live in the context (reused
-  // capacity); otherwise a per-call vector.  ActivityStats is plain
-  // scalar counters, so the slots are shared by every backend.
+  // worker claims which segment.  Pooled slots live in the context
+  // (reused capacity); otherwise a per-call vector.  ActivityStats is
+  // plain scalar counters, so the slots are shared by every backend.
   const std::size_t nets = job.module->num_nets();
   std::vector<sim::ActivityStats> local_partials;
-  if (job.context != nullptr) {
-    job.context->ensure_workers(num_threads);
-  } else {
-    local_partials.resize(num_threads);
-  }
   auto partial = [&](std::size_t slot) -> sim::ActivityStats& {
     return job.context != nullptr ? job.context->worker(slot).activity
                                   : local_partials[slot];
   };
-  for (std::size_t t = 0; t < num_threads; ++t) {
-    sim::ActivityStats& p = partial(t);
-    p.net_toggles.assign(nets, 0);
-    p.net_functional.assign(nets, 0);
-    p.dff_clock_events = 0;
-    p.cycles = 0;
-  }
 
-  auto worker = [&](std::size_t slot) {
-    PML_OBS_SPAN("activity.worker");
-    sim::ActivityStats& local = partial(slot);
-    // Pooled path: rebind this slot's warmed simulator (zero allocation
-    // for same-shaped modules); otherwise bind a per-call local.
-    sim::BatchEventSimulatorT<L> local_sim;
-    sim::BatchEventSimulatorT<L>& bsim =
-        job.context != nullptr ? pooled_event<L>(job.context->worker(slot))
-                               : local_sim;
-    if (bsim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
-    bsim.rebind(*job.module, *job.lib, job.time_quantum_ms, job.lv);
-    for (;;) {
-      // Cancellation checkpoint between batches (see verify loop).
-      if (job.cancel != nullptr) job.cancel->check("activity.batch");
-      const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= num_batches) return;
-      PML_OBS_COUNT("sim.batch_event.batches", 1);
-      run_activity_batch<L>(bsim, b, num_chunks, chunk, n, job.sequential,
-                            job.cycles_per_inference, *job.samples, ports,
-                            local);
+  // One replay with `segs` segments per batch; returns the slots used.
+  const auto replay = [&](std::size_t segs) {
+    const std::size_t items = num_batches * segs;
+    const std::size_t num_threads = clamp_threads(job.num_threads, items);
+    if (job.context != nullptr) {
+      job.context->ensure_workers(num_threads);
+    } else {
+      local_partials.resize(num_threads);
     }
+    for (std::size_t t = 0; t < num_threads; ++t) {
+      sim::ActivityStats& p = partial(t);
+      p.net_toggles.assign(nets, 0);
+      p.net_functional.assign(nets, 0);
+      p.dff_clock_events = 0;
+      p.cycles = 0;
+    }
+    std::atomic<std::size_t> next_item{0};
+    auto worker = [&](std::size_t slot) {
+      PML_OBS_SPAN("activity.worker");
+      // Pooled path: rebind this slot's warmed engines (zero allocation
+      // for same-shaped modules); otherwise bind per-call locals.
+      sim::BatchSimulatorT<L> local_zsim;
+      sim::BatchEventSimulatorT<L> local_esim;
+      sim::BatchSimulatorT<L>& zsim =
+          job.context != nullptr ? pooled_batch<L>(job.context->worker(slot))
+                                 : local_zsim;
+      sim::BatchEventSimulatorT<L>& esim =
+          job.context != nullptr ? pooled_event<L>(job.context->worker(slot))
+                                 : local_esim;
+      if (esim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
+      zsim.rebind(*job.module, job.lv);
+      esim.rebind(*job.module, *job.lib, job.time_quantum_ms, job.lv);
+      for (;;) {
+        // Cancellation checkpoint between segments (see verify loop).
+        if (job.cancel != nullptr) job.cancel->check("activity.batch");
+        const std::size_t i = next_item.fetch_add(1, std::memory_order_relaxed);
+        if (i >= items) return;
+        const std::size_t b = i / segs;
+        const std::size_t k = i % segs;
+        const ReplayBatch batch = batch_at(b);
+        if (k == 0) {
+          // Occupancy: chunk-carrying lanes, against the lane words the
+          // engine evaluates (sim.batch_event.lane_words).  Sums to the
+          // chunk count on every backend.
+          PML_OBS_COUNT("sim.batch_event.batches", 1);
+          PML_OBS_COUNT("sim.batch_event.live_lanes", batch.lanes);
+        }
+        PML_OBS_COUNT("sim.batch_event.segments", 1);
+        const std::size_t rounds = batch.rounds();
+        run_replay_segment<L>(zsim, esim, job, batch, k * rounds / segs,
+                              (k + 1) * rounds / segs,
+                              k > 0 ? seam(b, k, false) : nullptr,
+                              k + 1 < segs ? seam(b, k + 1, true) : nullptr,
+                              partial(slot));
+      }
+    };
+    util::run_workers(num_threads, next_item, items, worker,
+                      "activity.worker");
+    return num_threads;
   };
 
-  util::run_workers(num_threads, next_batch, num_batches, worker,
-                    "activity.worker");
+  std::size_t slots = replay(segments);
+  bool seams_hold = true;
+  for (std::size_t b = 0; b < num_batches && seams_hold; ++b) {
+    for (std::size_t k = 1; k < segments && seams_hold; ++k) {
+      seams_hold = std::equal(seam(b, k, false), seam(b, k, false) + words,
+                              seam(b, k, true));
+    }
+  }
+  if (!seams_hold) {
+    // Some lane's state depends on more than its last input: the warm-up
+    // did not reproduce the replay's state, so replay every batch whole.
+    PML_OBS_COUNT("sim.batch_event.seam_fallbacks", 1);
+    slots = replay(1);
+  }
+  if (job.trace != nullptr) {
+    job.trace->segments = segments;
+    job.trace->seam_fallbacks = seams_hold ? 0 : 1;
+  }
 
   out.net_toggles.assign(nets, 0);
   out.net_functional.assign(nets, 0);
   out.dff_clock_events = 0;
   out.cycles = 0;
-  for (std::size_t t = 0; t < num_threads; ++t) out.accumulate(partial(t));
+  for (std::size_t t = 0; t < slots; ++t) out.accumulate(partial(t));
 }
 
 // --- fault campaign ---------------------------------------------------------

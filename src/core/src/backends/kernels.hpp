@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pml/cells/library.hpp"
+#include "pml/core/activity.hpp"
 #include "pml/core/backend_probe.hpp"
 #include "pml/core/eval_context.hpp"
 #include "pml/core/fault_campaign.hpp"
@@ -59,6 +60,11 @@ struct ActivityJob : JobBase {
   std::size_t num_chunks = 0;
   std::size_t num_threads = 0;
   EvalContext* context = nullptr;
+  /// Forced counted-round segments per batch; 0 = auto (see
+  /// replay_segments in batch_loops.hpp).
+  std::size_t segments = 0;
+  /// Where the schedule actually taken is reported; may be null.
+  detail::ReplayTrace* trace = nullptr;
 };
 
 struct FaultJob : JobBase {

@@ -7,15 +7,26 @@
 
 namespace pml::core {
 
-ParallelSvmBaseline build_parallel_svm_baseline(
-    const ml::Dataset& train, const ml::Dataset& test,
-    const cells::CellLibrary& lib, const ParallelSvmBaselineOptions& options) {
+ml::MulticlassSvm train_parallel_svm_baseline(
+    const ml::Dataset& train, const ParallelSvmBaselineOptions& options) {
   ml::MulticlassTrainOptions topts;
   topts.base.C = options.C;
   topts.base.seed = options.seed;
   topts.class_balanced = false;  // the baselines train plainly
-  const ml::MulticlassSvm model = ml::train_one_vs_one(train, topts);
+  return ml::train_one_vs_one(train, topts);
+}
 
+ParallelSvmBaseline build_parallel_svm_baseline(
+    const ml::Dataset& train, const ml::Dataset& test,
+    const cells::CellLibrary& lib, const ParallelSvmBaselineOptions& options) {
+  return build_parallel_svm_baseline(
+      train_parallel_svm_baseline(train, options), train, test, lib, options);
+}
+
+ParallelSvmBaseline build_parallel_svm_baseline(
+    const ml::MulticlassSvm& model, const ml::Dataset& train,
+    const ml::Dataset& test, const cells::CellLibrary& lib,
+    const ParallelSvmBaselineOptions& options) {
   ParallelSvmBaseline out;
   out.quantized =
       quant::quantize_svm(model, options.input_bits, options.weight_bits);

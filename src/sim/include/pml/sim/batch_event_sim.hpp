@@ -6,7 +6,8 @@
 // one lane word per net (bit L = lane L's logic value, stored as L::kChunks
 // uint64_t chunks; the lane storage, power-on reset and port I/O are the
 // LaneState core shared with BatchSimulatorT, see swar.hpp) and advances a
-// shared integer-tick timing wheel over the levelized netlist. Gate delays
+// shared integer tick over the levelized netlist, with one event queue per
+// distinct delay (see EventQueue). Gate delays
 // are lane-invariant (they depend only on the cell type), so every lane's
 // transitions land on the same tick grid as a scalar EventSimulator run of
 // that lane alone: the per-lane value trajectory — including every glitch —
@@ -35,6 +36,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -82,7 +84,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   }
 
   /// (Re)bind to a module, reusing all internal storage — op tables, lane
-  /// words, timing-wheel buckets, activity counters: a pooled simulator
+  /// words, event queues, activity counters: a pooled simulator
   /// rebound to same-shaped modules under the same library performs zero
   /// heap allocation.  The module and levelization are borrowed and must
   /// outlive the binding; counters and the count mask are reset.
@@ -97,21 +99,21 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
     this->bind(module, std::move(lv));
     // Same quantization as EventSimulator: equal tick grids are what make
     // the per-lane trajectories bit-exact against the scalar oracle.
-    delay_ticks_.assign(netlist::kNumCellTypes, 0);
-    int max_delay = 1;
+    // Queue 0 holds the delay-0 input events; each cell type joins the
+    // queue of its delay.  The queue count depends on the library alone,
+    // so rebinding keeps every ring's capacity (the pooling contract).
+    queue_delay_.assign(1, 0);
     for (int t = 0; t < netlist::kNumCellTypes; ++t) {
       const double d =
           lib.params(static_cast<netlist::CellType>(t)).delay_ms;
-      delay_ticks_[t] =
-          std::max(1, static_cast<int>(std::lround(d / time_quantum_ms)));
-      max_delay = std::max(max_delay, delay_ticks_[t]);
+      const std::uint32_t ticks = static_cast<std::uint32_t>(
+          std::max(1L, std::lround(d / time_quantum_ms)));
+      const auto it =
+          std::find(queue_delay_.begin(), queue_delay_.end(), ticks);
+      queue_of_type_[t] = static_cast<std::uint8_t>(it - queue_delay_.begin());
+      if (it == queue_delay_.end()) queue_delay_.push_back(ticks);
     }
-    // Shrink-then-clear-then-grow keeps surviving bucket capacities (the
-    // event-wheel nodes of the pooling contract).
-    const std::size_t wheel_size = static_cast<std::size_t>(max_delay) + 1;
-    if (wheel_.size() > wheel_size) wheel_.resize(wheel_size);
-    for (auto& bucket : wheel_) bucket.clear();
-    wheel_.resize(wheel_size);
+    queues_.resize(queue_delay_.size());
 
     swar_cell_ops_into(cell_ops_, *module_);
     cell_epoch_.assign(module_->cells().size(), 0);
@@ -131,12 +133,18 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   /// nets, settle without counting, and clear the activity counters.
   void reset() {
     this->power_on();
-    for (auto& bucket : wheel_) bucket.clear();
-    wheel_pos_ = 0;
-    pending_events_ = 0;
-    pending_inputs_.clear();
+    drop_events();
     full_settle_zero_delay();
     clear_activity();
+  }
+
+  /// Adopt another engine's settled lane state (LaneState::import_state)
+  /// with no event pending, as if this engine had settled there itself.
+  /// Counters and the count mask are left alone.
+  template <class Other>
+  void import_state(const LaneState<Other, L>& src) {
+    Base::import_state(src);
+    drop_events();
   }
 
   // --- lane counting --------------------------------------------------------
@@ -164,23 +172,23 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   /// Propagate all pending events until the network is quiet (all lanes).
   void settle() {
     for (const Event& e : pending_inputs_) {
-      schedule_chunks(0, e.net, e.w);
+      std::copy(e.w, e.w + kChunks, schedule(0, e.net).w);
     }
     pending_inputs_.clear();
-    run_wheel(/*count=*/true);
+    run_events(/*count=*/true);
   }
   /// settle(), then clock all DFFs; Q updates become events after the
   /// clk-to-Q delay, exactly as in EventSimulator::step.
   void step() {
     settle();
-    const std::size_t dff_delay = static_cast<std::size_t>(
-        delay_ticks_[static_cast<int>(netlist::CellType::kDff)]);
+    const std::size_t dff_queue =
+        queue_of_type_[static_cast<int>(netlist::CellType::kDff)];
     this->capture_dffs();
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
       const auto next = L::load(dff_state_.data() + i * kChunks);
       const auto q = L::load(values_.data() + dffs_[i].q * kChunks);
       if (!L::is_zero(L::bxor(next, q))) {
-        schedule_word(dff_delay, dffs_[i].q, next);
+        L::store(schedule(dff_queue, dffs_[i].q).w, next);
       }
     }
     std::uint64_t counted = 0;
@@ -189,7 +197,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
     }
     activity_.dff_clock_events += dffs_.size() * counted;
     activity_.cycles += counted;
-    run_wheel(/*count=*/true);
+    run_events(/*count=*/true);
   }
 
   // --- observation ----------------------------------------------------------
@@ -209,38 +217,57 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   }
 
  private:
-  /// A (net, lane word) change applying at some tick of the wheel.
+  /// A (net, lane word) change applying at tick `due`.
   struct Event {
     netlist::NetId net;
+    std::uint32_t due;
     std::uint64_t w[kChunks];
   };
+  /// The pending events of one delay, in due order: every event enters
+  /// at the current tick plus that delay, so a FIFO ring is a priority
+  /// queue.  A ring grows to the most events of its delay ever in flight
+  /// at once — far less than a timing wheel's buckets, each of which keeps
+  /// the capacity of its busiest tick.
+  struct EventQueue {
+    std::vector<Event> ring;  ///< empty or a power-of-two size
+    std::size_t head = 0;
+    std::size_t size = 0;
+  };
 
-  void schedule_chunks(std::size_t delay_ticks, netlist::NetId net,
-                       const std::uint64_t* chunks) {
-    Event& e =
-        wheel_[(wheel_pos_ + delay_ticks) % wheel_.size()].emplace_back();
-    e.net = net;
-    std::copy(chunks, chunks + kChunks, e.w);
+  /// Append an event on `net` to queue `queue`, due after its delay.
+  Event& schedule(std::size_t queue, netlist::NetId net) {
+    EventQueue& q = queues_[queue];
+    if (q.size == q.ring.size()) {
+      std::vector<Event> bigger(std::max<std::size_t>(64, 2 * q.ring.size()));
+      for (std::size_t k = 0; k < q.size; ++k) {
+        bigger[k] = q.ring[(q.head + k) & (q.ring.size() - 1)];
+      }
+      q.ring.swap(bigger);
+      q.head = 0;
+    }
+    Event& e = q.ring[(q.head + q.size) & (q.ring.size() - 1)];
+    ++q.size;
     ++pending_events_;
+    e.net = net;
+    e.due = now_ + queue_delay_[queue];
+    return e;
   }
-  void schedule_word(std::size_t delay_ticks, netlist::NetId net,
-                     typename L::Word w) {
-    Event& e =
-        wheel_[(wheel_pos_ + delay_ticks) % wheel_.size()].emplace_back();
-    e.net = net;
-    L::store(e.w, w);
-    ++pending_events_;
+  void drop_events() {
+    for (EventQueue& q : queues_) q.head = q.size = 0;
+    pending_events_ = 0;
+    pending_inputs_.clear();
+    now_ = 0;
   }
 
-  void run_wheel(bool count) {
+  void run_events(bool count) {
     const auto& cells = module_->cells();
     std::uint64_t* const v = values_.data();
     std::uint64_t guard = 0;
-    std::uint64_t evals = 0;  // lane-word cell evaluations this wheel run
+    std::uint64_t evals = 0;  // lane-word cell evaluations this run
     const std::uint64_t kMaxEvents =
         std::max<std::uint64_t>(1000, cells.size()) * 4096;
 
-    // One counted wheel run is one propagation window of the
+    // One counted run is one propagation window of the
     // functional/glitch split (same windows as the scalar EventSimulator).
     if (count) {
       ++window_epoch_;
@@ -249,12 +276,25 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
     const auto cmask = L::load(count_mask_);
 
     while (pending_events_ > 0) {
-      auto& bucket = wheel_[wheel_pos_];
-      if (!bucket.empty()) {
-        // Phase 1: apply all net changes scheduled for this tick.
-        touched_cells_.clear();
-        ++epoch_;
-        for (const Event& e : bucket) {
+      // The next tick with events: every queue's head is its earliest.
+      // Netlists are acyclic, so a run ends within depth x max delay
+      // ticks and `due` never wraps.
+      std::uint32_t tick = std::numeric_limits<std::uint32_t>::max();
+      for (const EventQueue& q : queues_) {
+        if (q.size != 0) tick = std::min(tick, q.ring[q.head].due);
+      }
+      now_ = tick;
+      // Phase 1: apply all net changes due at this tick.  A net has one
+      // driver, so no two events due at one tick touch the same net
+      // (staged inputs, which may, share queue 0 in staging order): the
+      // order across queues does not matter.
+      touched_cells_.clear();
+      ++epoch_;
+      for (EventQueue& q : queues_) {
+        const std::size_t wrap = q.ring.size() - 1;
+        for (; q.size != 0 && q.ring[q.head].due == tick;
+             q.head = (q.head + 1) & wrap, --q.size) {
+          const Event& e = q.ring[q.head];
           --pending_events_;
           if (++guard > kMaxEvents) {
             throw std::runtime_error(
@@ -282,22 +322,20 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
             }
           }
         }
-        bucket.clear();
-        // Phase 2: re-evaluate each affected gate once (all lanes in one
-        // pass); schedule its response after the gate delay.
-        evals += touched_cells_.size();
-        for (const std::uint32_t ci : touched_cells_) {
-          const SwarOp& op = cell_ops_[ci];
-          const auto out = eval_cell_lanes_w<L>(
-              op.type, L::load(v + op.a * kChunks), L::load(v + op.b * kChunks),
-              L::load(v + op.s * kChunks));
-          schedule_word(static_cast<std::size_t>(
-                            delay_ticks_[static_cast<int>(op.type)]),
-                        op.out, out);
-        }
       }
-      wheel_pos_ = (wheel_pos_ + 1) % wheel_.size();
+      // Phase 2: re-evaluate each affected gate once (all lanes in one
+      // pass); schedule its response after the gate delay.
+      evals += touched_cells_.size();
+      for (const std::uint32_t ci : touched_cells_) {
+        const SwarOp& op = cell_ops_[ci];
+        const auto out = eval_cell_lanes_w<L>(
+            op.type, L::load(v + op.a * kChunks), L::load(v + op.b * kChunks),
+            L::load(v + op.s * kChunks));
+        L::store(schedule(queue_of_type_[static_cast<int>(op.type)], op.out).w,
+                 out);
+      }
     }
+    now_ = 0;  // drained: the next run counts ticks from zero
 
     if (count) {
       for (const netlist::NetId net : window_nets_) {
@@ -323,13 +361,12 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
     }
   }
 
-  std::vector<int> delay_ticks_;  ///< per cell type
+  /// Delay in ticks of each queue (queue 0: the delay-0 input events).
+  std::vector<std::uint32_t> queue_delay_;
+  std::uint8_t queue_of_type_[netlist::kNumCellTypes] = {};
   std::vector<SwarOp> cell_ops_;  ///< indexed by cell; DFF entries unused
-  /// Timing wheel: bucket [t % size] holds the events applying at tick t.
-  /// Sized to max cell delay + 1, so an in-flight event can never wrap
-  /// onto the tick being processed.
-  std::vector<std::vector<Event>> wheel_;
-  std::size_t wheel_pos_ = 0;
+  std::vector<EventQueue> queues_;
+  std::uint32_t now_ = 0;  ///< current tick of the running propagation
   std::uint64_t pending_events_ = 0;
   std::vector<Event> pending_inputs_;
   std::vector<std::uint32_t> touched_cells_;  ///< dedup scratch
@@ -338,7 +375,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   std::uint64_t count_mask_[kChunks] = {};
   // Per-propagation-window start-of-window value words for the
   // functional/glitch split (same windows as the scalar oracle: one per
-  // counted run of the wheel, so the per-lane split is bit-exact too).
+  // counted run, so the per-lane split is bit-exact too).
   std::vector<std::uint64_t> window_start_;
   std::vector<std::uint64_t> net_window_epoch_;
   std::vector<netlist::NetId> window_nets_;

@@ -246,7 +246,41 @@ class LaneState {
   [[nodiscard]] const netlist::Module& module() const { return *module_; }
   [[nodiscard]] const Levelization& levelization() const { return *lv_; }
 
+  // --- state export / import ------------------------------------------------
+  /// Words in an exported lane state of `module`: every net's lane word,
+  /// then every DFF's captured-D word.
+  [[nodiscard]] static std::size_t state_words(const netlist::Module& module,
+                                               const Levelization& lv) {
+    return (module.num_nets() + lv.dffs.size()) * kChunks;
+  }
+  [[nodiscard]] std::size_t state_words() const {
+    return values_.size() + dff_state_.size();
+  }
+  /// Copy the lane state (state_words() words) to `out`.  Two engines
+  /// with equal exports continue identically from here.
+  void export_state(std::uint64_t* out) const {
+    std::copy(dff_state_.begin(), dff_state_.end(),
+              std::copy(values_.begin(), values_.end(), out));
+  }
+  /// Adopt `src`'s lane state: the other engine, bound to the same
+  /// module, hands over where it settled (the zero-delay engine warms a
+  /// replay up for the event engine).  Engines with pending stimulus
+  /// drop it after this copy.
+  template <class Other>
+  void import_state(const LaneState<Other, L>& src) {
+    if (src.values_.size() != values_.size() ||
+        src.dff_state_.size() != dff_state_.size()) {
+      throw std::invalid_argument("import_state: engines bound differently");
+    }
+    std::copy(src.values_.begin(), src.values_.end(), values_.begin());
+    std::copy(src.dff_state_.begin(), src.dff_state_.end(),
+              dff_state_.begin());
+  }
+
  protected:
+  template <class, LaneWord>
+  friend class LaneState;
+
   /// Bind to a module, reusing every vector's capacity (a pooled engine
   /// rebound to same-shaped modules performs zero heap allocation).  The
   /// module and levelization are borrowed and must outlive the binding.

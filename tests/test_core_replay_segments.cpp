@@ -1,0 +1,333 @@
+// The activity replay's schedule never changes its counts.
+//
+// A replay warms every batch up on the zero-delay engine and may split a
+// batch's counted rounds into segments on different workers, joined by a
+// word-for-word seam check (see pml/core/activity.hpp).  These
+// differentials prove:
+//  - the zero-delay warm-up leaves exactly the lane state the event
+//    engine's own warm-up leaves, for every generator and for random
+//    DFF-bearing netlists, on every backend (engine level, through the
+//    public engine API; see warmup_state_check.hpp);
+//  - the merged ActivityStats are identical at every segment count x
+//    chunk size x ragged sample count (the segment count is pinned
+//    through the internal detail::collect_activity_scheduled);
+//  - a netlist whose state depends on more than the last input (a
+//    free-running toggle flop) takes the seam fallback and still matches
+//    the unsplit replay.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "pml/arch/mlp_circuit.hpp"
+#include "pml/arch/parallel_svm.hpp"
+#include "pml/arch/sequential_mlp.hpp"
+#include "pml/arch/sequential_svm.hpp"
+#include "pml/cells/library.hpp"
+#include "pml/core/activity.hpp"
+#include "pml/netlist/module.hpp"
+#include "pml/obs/metrics.hpp"
+#include "pml/sim/backend.hpp"
+#include "warmup_state_check.hpp"
+
+namespace pml::core {
+namespace {
+
+using netlist::CellType;
+using netlist::Module;
+using netlist::NetId;
+using sim::Backend;
+
+std::uint64_t xorshift(std::uint64_t& s) {
+  s ^= s << 13;
+  s ^= s >> 7;
+  s ^= s << 17;
+  return s;
+}
+
+quant::QuantizedSvm random_svm(int classes, int features, std::uint64_t seed) {
+  quant::QuantizedSvm q;
+  q.strategy = ml::MulticlassStrategy::kOneVsRest;
+  q.num_classes = classes;
+  q.input_format = quant::input_format(3);
+  q.weight_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 3, .is_signed = true};
+  std::uint64_t s = seed * 0x9E3779B97F4A7C15ull + 1;
+  for (int k = 0; k < classes; ++k) {
+    quant::QuantizedClassifier c;
+    for (int j = 0; j < features; ++j) {
+      c.w.push_back(-8 + static_cast<std::int64_t>(xorshift(s) % 16));
+    }
+    c.b = -8 + static_cast<std::int64_t>(xorshift(s) % 17);
+    q.classifiers.push_back(std::move(c));
+  }
+  return q;
+}
+
+quant::QuantizedMlp random_mlp(int inputs, int hidden, int outputs,
+                               std::uint64_t seed) {
+  quant::QuantizedMlp q;
+  q.num_inputs = inputs;
+  q.num_hidden = hidden;
+  q.num_outputs = outputs;
+  q.input_format = quant::input_format(3);
+  q.w1_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 3, .is_signed = true};
+  q.hidden_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 4, .is_signed = false};
+  q.w2_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 3, .is_signed = true};
+  q.hidden_shift = 3;
+  std::uint64_t s = seed ^ 0x5555AAAAull;
+  const auto rand_w = [&s] {
+    return -8 + static_cast<std::int64_t>(xorshift(s) % 16);
+  };
+  q.w1.assign(static_cast<std::size_t>(hidden), {});
+  q.b1.assign(static_cast<std::size_t>(hidden), 0);
+  for (int i = 0; i < hidden; ++i) {
+    for (int j = 0; j < inputs; ++j) {
+      q.w1[static_cast<std::size_t>(i)].push_back(rand_w());
+    }
+    q.b1[static_cast<std::size_t>(i)] = rand_w() * 4;
+  }
+  q.w2.assign(static_cast<std::size_t>(outputs), {});
+  q.b2.assign(static_cast<std::size_t>(outputs), 0);
+  for (int k = 0; k < outputs; ++k) {
+    for (int i = 0; i < hidden; ++i) {
+      q.w2[static_cast<std::size_t>(k)].push_back(rand_w());
+    }
+    q.b2[static_cast<std::size_t>(k)] = rand_w() * 2;
+  }
+  return q;
+}
+
+/// Random netlist over feature ports x0..x{features-1} (3 bits each) whose
+/// DFFs close feedback loops: each DFF's D is driven, after the gates are
+/// built, from any net — its own Q and other Qs included — so its state
+/// can depend on the whole input history.
+Module random_dff_module(std::uint64_t seed, int features, int gates,
+                         int dffs) {
+  Module m("rand");
+  std::uint64_t s = seed * 2654435761u + 1;
+  const auto below = [&s](std::size_t n) {
+    return static_cast<std::size_t>(xorshift(s) % n);
+  };
+  std::vector<NetId> pool;
+  for (int j = 0; j < features; ++j) {
+    for (const NetId n : m.add_input_port("x" + std::to_string(j), 3)) {
+      pool.push_back(n);
+    }
+  }
+  std::vector<NetId> d_nets;
+  for (int i = 0; i < dffs; ++i) {
+    d_nets.push_back(m.new_net());
+    pool.push_back(m.dff(d_nets.back(), (xorshift(s) & 1) != 0));
+  }
+  static constexpr CellType kComb[] = {
+      CellType::kInv,  CellType::kNand2, CellType::kNor2,
+      CellType::kAnd2, CellType::kOr2,   CellType::kXor2,
+      CellType::kXnor2, CellType::kMux2};
+  for (int i = 0; i < gates; ++i) {
+    const CellType t = kComb[below(std::size(kComb))];
+    const NetId a = pool[below(pool.size())];
+    const NetId b = pool[below(pool.size())];
+    const NetId sel = pool[below(pool.size())];
+    const int arity = netlist::cell_num_inputs(t);
+    pool.push_back(arity == 1   ? m.add_gate_raw(t, a)
+                   : arity == 2 ? m.add_gate_raw(t, a, b)
+                                : m.add_gate_raw(t, a, b, sel));
+  }
+  for (const NetId d : d_nets) m.drive_net(d, pool[below(pool.size())]);
+  m.add_output_port("y", std::vector<NetId>(pool.end() - 6, pool.end()));
+  return m;
+}
+
+/// A free-running toggle flop (D = NOT Q) gating the inputs: its state
+/// after an inference depends on how many inferences came before, not on
+/// the last input.
+Module toggle_flop_module() {
+  Module m("toggle");
+  const std::vector<NetId> x = m.add_input_port("x0", 3);
+  const NetId d = m.new_net();
+  const NetId q = m.dff(d);
+  m.drive_net(d, m.inv(q));
+  m.add_output_port("y", {m.and2(q, x[0]), m.xor2(q, x[1]), m.or2(x[2], q)});
+  return m;
+}
+
+CircuitWorkload random_workload(std::size_t n, int features,
+                                std::uint64_t seed) {
+  std::uint64_t s = seed | 1;
+  CircuitWorkload wl;
+  wl.feature_codes.assign(n, {});
+  for (auto& row : wl.feature_codes) {
+    for (int j = 0; j < features; ++j) {
+      row.push_back(static_cast<std::int64_t>(xorshift(s) % 8));
+    }
+  }
+  wl.expected_class.assign(n, 0);
+  return wl;
+}
+
+struct Design {
+  std::string name;
+  Module module;
+  int cycles = 1;
+  int features = 0;
+  bool boundary_state = true;  ///< state depends on the last input only
+};
+
+/// Every generator (sequential and parallel SVM, MLP, sequential MLP)
+/// plus random DFF-bearing netlists, all small enough for TSan.
+std::vector<Design> designs() {
+  std::vector<Design> out;
+  const auto q = random_svm(3, 2, 11);
+  const auto m = random_mlp(2, 3, 3, 13);
+  {
+    auto c = arch::build_sequential_svm(q);
+    out.push_back({"sequential_svm", std::move(c.module),
+                   c.cycles_per_inference, 2, true});
+  }
+  {
+    auto c = arch::build_parallel_svm(q);
+    out.push_back({"parallel_svm", std::move(c.module),
+                   c.cycles_per_inference, 2, true});
+  }
+  {
+    auto c = arch::build_mlp_circuit(m);
+    out.push_back(
+        {"mlp", std::move(c.module), c.cycles_per_inference, 2, true});
+  }
+  {
+    auto c = arch::build_sequential_mlp(m);
+    out.push_back({"sequential_mlp", std::move(c.module),
+                   c.cycles_per_inference, 2, true});
+  }
+  // One clock per inference: most of their seams differ, so these also
+  // take the fallback, across batches too.
+  for (const std::uint64_t seed : {3u, 7u}) {
+    out.push_back({"random_dff_" + std::to_string(seed),
+                   random_dff_module(seed, 2, 40, 4), 1, 2, false});
+  }
+  return out;
+}
+
+void expect_stats_equal(const sim::ActivityStats& a,
+                        const sim::ActivityStats& b) {
+  EXPECT_EQ(a.net_toggles, b.net_toggles);
+  EXPECT_EQ(a.net_functional, b.net_functional);
+  EXPECT_EQ(a.dff_clock_events, b.dff_clock_events);
+  EXPECT_EQ(a.cycles, b.cycles);
+}
+
+const cells::CellLibrary& library() {
+  static const cells::CellLibrary lib = cells::CellLibrary::egfet();
+  return lib;
+}
+
+detail::ReplayTrace replay(sim::ActivityStats& out, const Design& d,
+                           const CircuitWorkload& wl, std::size_t n,
+                           const ActivityOptions& opts, std::size_t segments) {
+  return detail::collect_activity_scheduled(out, d.module, library(),
+                                            d.cycles, wl, n, opts, segments);
+}
+
+TEST(ReplaySegments, ZeroDelayWarmupMatchesEventWarmup) {
+  for (const Design& d : designs()) {
+    SCOPED_TRACE(d.name);
+    // 45 warm-up rows then 45 counted rows, cycled over the lanes.
+    const CircuitWorkload wl = random_workload(90, d.features, 17);
+    const testutil::Rows& rows = wl.feature_codes;
+    for (const Backend b : sim::available_backends()) {
+      SCOPED_TRACE(sim::backend_name(b));
+      std::size_t mismatches = 0;
+      switch (b) {
+        case Backend::kU64:
+          mismatches = testutil::warmup_state_mismatches<sim::LaneU64>(
+              d.module, library(), d.cycles, rows);
+          break;
+#if defined(PML_SIM_HAVE_AVX2)
+        case Backend::kAvx2:
+          mismatches = testutil::warmup_state_mismatches_avx2(
+              d.module, library(), d.cycles, rows);
+          break;
+#endif
+#if defined(PML_SIM_HAVE_AVX512)
+        case Backend::kAvx512:
+          mismatches = testutil::warmup_state_mismatches_avx512(
+              d.module, library(), d.cycles, rows);
+          break;
+#endif
+        default:
+          ADD_FAILURE() << "backend without a warm-up check";
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
+TEST(ReplaySegments, CountsIgnoreSegmentsAndChunking) {
+  struct Case {
+    std::size_t chunk, n;
+    Backend backend;
+  };
+  // 31 samples leave a ragged final chunk at chunk 3, 4 and 7; 200 at
+  // chunk 3 on u64 fills two batches, the second with a ragged chunk.
+  const Case cases[] = {{1, 31, Backend::kAuto},
+                        {3, 31, Backend::kAuto},
+                        {4, 31, Backend::kAuto},
+                        {7, 31, Backend::kAuto},
+                        {3, 200, Backend::kU64}};
+  for (const Design& d : designs()) {
+    SCOPED_TRACE(d.name);
+    const CircuitWorkload wl = random_workload(200, d.features, 23);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "chunk " << c.chunk << ", n " << c.n);
+      ActivityOptions opts;
+      opts.chunk_samples = c.chunk;
+      opts.backend = c.backend;
+      sim::ActivityStats ref;
+      (void)replay(ref, d, wl, c.n, opts, 1);
+      for (const std::size_t segments : {2u, 3u, 4u}) {
+        SCOPED_TRACE(segments);
+        sim::ActivityStats got;
+        const detail::ReplayTrace trace =
+            replay(got, d, wl, c.n, opts, segments);
+        expect_stats_equal(got, ref);
+        // Clamped to the counted rounds of the shortest batch: every
+        // batch here counts `chunk` rounds.
+        EXPECT_EQ(trace.segments, std::min(segments, c.chunk));
+        if (d.boundary_state) EXPECT_EQ(trace.seam_fallbacks, 0u);
+      }
+    }
+  }
+}
+
+TEST(ReplaySegments, HistoryDependentStateTakesTheSeamFallback) {
+  const Design d{"toggle", toggle_flop_module(), 1, 1, false};
+  const CircuitWorkload wl = random_workload(30, 1, 29);
+  ActivityOptions opts;
+  // Segments of rounds {0} and {1, 2}: the seam compares Q after two
+  // steps (warm-up, round 0) with Q after one (the warm-up on round 0).
+  opts.chunk_samples = 3;
+  sim::ActivityStats ref;
+  (void)replay(ref, d, wl, 30, opts, 1);
+
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  sim::ActivityStats got;
+  const detail::ReplayTrace trace =
+      replay(got, d, wl, 30, opts, 2);
+  const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+  EXPECT_EQ(trace.segments, 2u);
+  EXPECT_EQ(trace.seam_fallbacks, 1u);
+  EXPECT_EQ(delta.counter_value("sim.batch_event.seam_fallbacks"), 1u);
+  // The split pass (one batch x 2 segments), then the unsplit re-run.
+  EXPECT_EQ(delta.counter_value("sim.batch_event.segments"), 3u);
+  expect_stats_equal(got, ref);
+  EXPECT_EQ(got.cycles, 30u);
+}
+
+}  // namespace
+}  // namespace pml::core

@@ -475,6 +475,46 @@ TEST(SimBackendEquivalence, LiveLanesCountEveryChunkOnEveryBackend) {
   }
 }
 
+// sim.batch.live_lanes is the zero-delay engine's occupancy counter: each
+// verification batch adds its sample-carrying lanes and each activity
+// warm-up its chunk-carrying lanes.  So a verify adds the sample count and
+// an unsplit replay (pinned to one thread) the chunk count, whatever the
+// lane width.
+TEST(SimBackendEquivalence, ZeroDelayLiveLanesCountEverySampleAndWarmup) {
+  const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
+  auto circuit = arch::build_sequential_svm(q);
+  const auto lib = cells::CellLibrary::egfet();
+  const auto wl = svm_workload(
+      q, random_samples(700, 3, q.input_format.max_code(), 43));
+  std::vector<Backend> backends = sim::available_backends();
+  backends.push_back(Backend::kAuto);
+  for (const Backend b : backends) {
+    SCOPED_TRACE(sim::backend_name(b));
+    VerifyOptions vopts;
+    vopts.backend = b;
+    obs::MetricsSnapshot before = obs::snapshot_metrics();
+    EXPECT_TRUE(verify_workload(circuit.module, circuit.cycles_per_inference,
+                                wl, vopts)
+                    .ok());
+    EXPECT_EQ(obs::diff_metrics(before, obs::snapshot_metrics())
+                  .counter_value("sim.batch.live_lanes"),
+              700u);
+    for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
+      SCOPED_TRACE(n);
+      ActivityOptions opts;
+      opts.backend = b;  // auto chunking: 4 samples per chunk here
+      opts.num_threads = 1;
+      before = obs::snapshot_metrics();
+      (void)collect_activity(circuit.module, lib,
+                             circuit.cycles_per_inference, wl, n, opts);
+      const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+      EXPECT_EQ(delta.counter_value("sim.batch.live_lanes"), (n + 3) / 4);
+      EXPECT_EQ(delta.counter_value("sim.batch_event.segments"),
+                delta.counter_value("sim.batch_event.batches"));
+    }
+  }
+}
+
 // The determinism contract at the report level: a whole evaluate_circuit
 // report does not depend on the backend (auto-dispatched or pinned) or on
 // the thread count.  24 power samples replay as 6 chunks (auto picks u64),
