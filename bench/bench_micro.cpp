@@ -151,7 +151,7 @@ void BM_StaticTimingAnalysis(benchmark::State& state) {
 BENCHMARK(BM_StaticTimingAnalysis);
 
 void BM_TaskPoolFanout(benchmark::State& state) {
-  // Pure fan-out overhead on the warm process pool: the run_workers
+  // Pure fan-out overhead on the warm process pool: the batch drivers'
   // claim-loop shape at the small group sizes the batch drivers use.
   // Compare against bench_task_pool's spawn/join reference for the gated
   // per-call speedup; this tracks the pool's own dispatch latency.

@@ -2,8 +2,9 @@
 // pml::opt flow recipe trades between cell count and (glitch) switching
 // energy, measured with the delay-accurate batch event simulator.
 //
-// Every recipe's module is verified bit-exact over the full test workload
-// (evaluate_circuit throws otherwise), then replayed for power; the JSON
+// The rows come from svc::SweepService::sweep_flows.  Every recipe's
+// module is verified bit-exact over the full test workload (the sweep
+// throws otherwise), then replayed for power; the JSON
 // record carries per-recipe cells/area/switching-energy/glitch-split
 // numbers plus the comparative metrics the CI gate watches
 // (bench/baselines/opt_flows_baseline.json):
@@ -21,6 +22,7 @@
 // Usage: bench_opt_flows [--quick] [--trace out.json] [--metrics]
 
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "pml/opt/optimizer.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/report/table.hpp"
+#include "pml/svc/sweep_service.hpp"
 
 using namespace pml;
 
@@ -88,8 +91,11 @@ int main(int argc, char** argv) {
   const cells::CellLibrary lib = cells::CellLibrary::egfet();
   const std::vector<std::string> flows = {"none", "area", "energy",
                                           "balanced", "best"};
-  const auto rows = core::sweep_flows(raw.module, raw.cycles_per_inference,
-                                      lib, wl, eopts, flows);
+  svc::SweepService service(lib);
+  const auto rows = service.sweep_flows(
+      std::make_shared<const netlist::Module>(raw.module),
+      raw.cycles_per_inference,
+      std::make_shared<const core::CircuitWorkload>(wl), eopts, flows);
 
   std::vector<FlowMetrics> mx;
   for (const auto& row : rows) mx.push_back(metrics_of(row));

@@ -1,29 +1,22 @@
-// Robustness contract bench for the hardened svc::SweepService: every
-// gated metric here is a *deterministic* pass/fail probe (1.0 or 0.0) of
-// one production-hardening mechanism, so the perf gate doubles as a
-// release-blocking correctness gate that runs outside the unit-test
-// binary, against the real service build.
+// Robustness contract bench for svc::SweepService: every gated metric
+// here is a *deterministic* pass/fail probe (1.0 or 0.0) of one
+// robustness mechanism, so the perf gate doubles as a release-blocking
+// correctness gate that runs outside the unit-test binary, against the
+// real service build.
 //
-// Six legs, each on a fresh service over a tiny sequential SVM:
+// Four legs, each on a fresh service over a tiny sequential SVM:
 //
-//   1. *Shed accounting* — single worker held hostage via the test hook,
-//      bounded queue, AdmissionPolicy::kShed: with the queue provably
-//      full, extra submits must come back pre-resolved kShed and the
-//      shed counter must match exactly (robust.shed_exact_ok).
-//   2. *Deadline exactness* — on a ManualClock, advancing virtual time
+//   1. *Deadline exactness* — on a ManualClock, advancing virtual time
 //      to exactly the deadline must time the job out, and to one
 //      nanosecond before must not (robust.deadline_exact_ok).
-//   3. *Retry recovery* — a chaos-injected transient failure on the
-//      first attempt must be retried after exactly one virtual backoff
-//      and succeed (robust.retry_recovery_ok).
-//   4. *Bounded cache* — with max_cache_bytes sized for ~2.5 entries,
+//   2. *Bounded cache* — with max_cache_bytes sized for ~2.5 entries,
 //      a 4-point sweep must never exceed the byte budget and must evict
 //      LRU entries (robust.cache_bounded_ok).
-//   5. *Cancel responsiveness* — cancelling a running evaluation must
+//   3. *Cancel responsiveness* — cancelling a running evaluation must
 //      resolve kCancelled at the next checkpoint; the observed wall
 //      latency is reported as info (robust.cancel_ms), the outcome is
 //      gated (robust.cancel_ok).
-//   6. *Straggler isolation* — with 2 workers and one job parked
+//   4. *Straggler isolation* — with 2 workers and one job parked
 //      indefinitely, every other job must still complete before the
 //      straggler is released (robust.straggler_isolated_ok); per-wait
 //      p99 wall time is info (robust.p99_wait_ms).
@@ -44,7 +37,6 @@
 
 #include "bench_util.hpp"
 #include "pml/arch/sequential_svm.hpp"
-#include "pml/chaos/fault_plan.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/svc/sweep_service.hpp"
 #include "pml/util/clock.hpp"
@@ -131,37 +123,6 @@ class WorkerGate {
   std::set<std::uint64_t> entered_;
 };
 
-bool leg_shed_exact(std::uint64_t& shed_count) {
-  const auto lib = cells::CellLibrary::egfet();
-  svc::SweepService::Options opts;
-  opts.num_workers = 1;
-  opts.max_queue_depth = 2;
-  opts.admission = svc::AdmissionPolicy::kShed;
-  svc::SweepService service(lib, opts);
-  WorkerGate gate;
-  gate.hold(0);
-  service.set_test_hook(gate.hook());
-
-  // A is claimed by the (parked) worker; B and C fill the depth-2 queue.
-  const auto a = service.submit(tiny_request(0));
-  gate.wait_entered(0);
-  const auto b = service.submit(tiny_request(1));
-  const auto c = service.submit(tiny_request(2));
-  const auto d = service.submit(tiny_request(3));
-  const auto e = service.submit(tiny_request(4));
-
-  bool ok = d.admitted == svc::JobStatus::kShed && d.handle == nullptr &&
-            e.admitted == svc::JobStatus::kShed;
-  shed_count = service.stats().shed;
-  ok = ok && shed_count == 2;
-  ok = ok && service.wait_outcome(d).status == svc::JobStatus::kShed;
-  gate.release_all();
-  for (const auto* t : {&a, &b, &c}) {
-    ok = ok && service.wait_outcome(*t).status == svc::JobStatus::kOk;
-  }
-  return ok;
-}
-
 bool leg_deadline_exact() {
   const auto lib = cells::CellLibrary::egfet();
   util::ManualClock clock;
@@ -171,7 +132,7 @@ bool leg_deadline_exact() {
   WorkerGate gate;
   service.set_test_hook(gate.hook());
 
-  // Advancing exactly to the deadline while the attempt is parked at the
+  // Advancing exactly to the deadline while the evaluation is parked at the
   // hook must abort the evaluation at its first checkpoint.
   gate.hold(0);
   svc::SweepRequest late = tiny_request(0);
@@ -192,28 +153,6 @@ bool leg_deadline_exact() {
   gate.release_all();
   ok = ok && service.wait_outcome(t1).status == svc::JobStatus::kOk;
   return ok;
-}
-
-bool leg_retry_recovery(double& backoff_ms) {
-  const auto lib = cells::CellLibrary::egfet();
-  util::ManualClock clock;
-  svc::SweepService::Options opts;
-  opts.clock = &clock;
-  opts.retry.max_attempts = 3;
-  opts.retry.backoff_ns = kMs;
-  svc::SweepService service(lib, opts);
-  chaos::FaultPlan plan;
-  plan.throw_at(0);
-  service.install_chaos(&plan);
-
-  const core::HardwareReport rep = service.evaluate(tiny_request());
-  const svc::SweepStats stats = service.stats();
-  const auto sleeps = clock.sleeps();
-  backoff_ms = sleeps.empty()
-                   ? 0.0
-                   : static_cast<double>(sleeps.front()) / 1e6;
-  return rep.verified && plan.fired() == 1 && stats.retried == 1 &&
-         stats.errors == 0 && sleeps == std::vector<std::uint64_t>{kMs};
 }
 
 bool leg_cache_bounded(std::uint64_t& evictions) {
@@ -250,7 +189,7 @@ bool leg_cancel(double& cancel_ms) {
 
   const auto ticket = service.submit(tiny_request());
   gate.wait_entered(0);
-  // The worker is parked inside the attempt; cancel, release, and time
+  // The worker is parked inside the evaluation; cancel, release, and time
   // how long the first cancellation checkpoint takes to resolve the job.
   const bool accepted = service.cancel(ticket);
   benchutil::Stopwatch watch;
@@ -307,33 +246,26 @@ int main(int argc, char** argv) {
   benchutil::ObsSession session("robustness", args, /*seed=*/0,
                                 args.quick ? "quick" : "full");
 
-  std::uint64_t shed_count = 0;
   std::uint64_t evictions = 0;
-  double backoff_ms = 0.0;
   double cancel_ms = 0.0;
   double p99_wait_ms = 0.0;
   double sweep_ms = 0.0;
   const std::size_t straggler_jobs = args.quick ? 7 : 15;
 
-  const bool shed_ok = leg_shed_exact(shed_count);
   const bool deadline_ok = leg_deadline_exact();
-  const bool retry_ok = leg_retry_recovery(backoff_ms);
   const bool cache_ok = leg_cache_bounded(evictions);
   const bool cancel_ok = leg_cancel(cancel_ms);
   const bool straggler_ok =
       leg_straggler_isolated(straggler_jobs, p99_wait_ms, sweep_ms);
 
-  std::cerr << "bench_robustness: shed=" << (shed_ok ? "ok" : "FAIL")
-            << " deadline=" << (deadline_ok ? "ok" : "FAIL")
-            << " retry=" << (retry_ok ? "ok" : "FAIL")
+  std::cerr << "bench_robustness: deadline=" << (deadline_ok ? "ok" : "FAIL")
             << " cache=" << (cache_ok ? "ok" : "FAIL")
             << " cancel=" << (cancel_ok ? "ok" : "FAIL") << " ("
             << cancel_ms << " ms)"
             << " straggler=" << (straggler_ok ? "ok" : "FAIL") << " (p99 "
             << p99_wait_ms << " ms over " << straggler_jobs << " jobs)\n";
 
-  if (!(shed_ok && deadline_ok && retry_ok && cache_ok && cancel_ok &&
-        straggler_ok)) {
+  if (!(deadline_ok && cache_ok && cancel_ok && straggler_ok)) {
     std::cerr << "bench_robustness: acceptance bar failed — no JSON\n";
     return 1;
   }
@@ -341,15 +273,11 @@ int main(int argc, char** argv) {
   obs::Json rec = session.record();
   rec.set("robust",
           obs::Json::object()
-              .set("shed_exact_ok", shed_ok ? 1.0 : 0.0)
               .set("deadline_exact_ok", deadline_ok ? 1.0 : 0.0)
-              .set("retry_recovery_ok", retry_ok ? 1.0 : 0.0)
               .set("cache_bounded_ok", cache_ok ? 1.0 : 0.0)
               .set("cancel_ok", cancel_ok ? 1.0 : 0.0)
               .set("straggler_isolated_ok", straggler_ok ? 1.0 : 0.0)
-              .set("shed_count", shed_count)
               .set("cache_evictions", evictions)
-              .set("retry_backoff_ms", backoff_ms)
               .set("cancel_ms", cancel_ms)
               .set("p99_wait_ms", p99_wait_ms)
               .set("straggler_sweep_ms", sweep_ms)

@@ -1,17 +1,17 @@
 // Fan-out overhead bench for util::TaskPool — the eighth gated baseline,
 // and the tentpole's receipt: the pool must make small fan-outs at least
-// 5x cheaper than the spawn/join-per-call scheme run_workers used before
-// it, and a warm pool must serve the whole evaluation stack without ever
+// 5x cheaper than the spawn/join-per-call scheme the batch drivers used
+// before it, and a warm pool must serve the whole evaluation stack without ever
 // creating another thread.
 //
 // Three legs:
 //
-//   1. *Fan-out overhead* — the run_workers shape at its smallest useful
+//   1. *Fan-out overhead* — the claim-loop shape at its smallest useful
 //      size (4 slots claiming a 64-item queue of trivial work, the shape
 //      of a <= 4 lane-word batch driver) is timed two ways: through the
 //      warm TaskPool, and through an in-bench reference that spawns and
 //      joins fresh std::threads per call exactly like the pre-pool
-//      run_workers.  Gated: pool.fanout_speedup_vs_spawn (the ratio;
+//      fan-out.  Gated: pool.fanout_speedup_vs_spawn (the ratio;
 //      the bench itself also enforces the >= 5x acceptance bar).  The
 //      raw per-fan-out microseconds ride along as info.
 //   2. *Stealing* — an outer group saturates the pool, one slot fans out
@@ -62,7 +62,7 @@ std::uint64_t claim_work(std::atomic<std::size_t>& next) {
   }
 }
 
-/// The pre-pool run_workers, preserved as the comparison reference:
+/// The pre-pool fan-out, preserved as the comparison reference:
 /// n-1 fresh std::threads per call, caller runs a slot, join all.
 std::uint64_t spawn_fanout() {
   std::atomic<std::size_t> next{0};

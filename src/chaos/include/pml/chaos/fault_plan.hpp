@@ -3,11 +3,11 @@
 // harness that proves the robustness machinery actually works.
 //
 // A FaultPlan is a map from *evaluation ordinal* (the service numbers
-// every evaluation attempt with a process-order counter) to one injected
-// fault:
+// every evaluation with a process-order counter) to one injected fault:
 //
-//   * kThrow      — throw chaos::InjectedFault (classified transient, so
-//                   RetryPolicy applies) before the evaluation runs;
+//   * kThrow      — throw chaos::InjectedFault (a TransientError, so the
+//                   service does not cache the failure) before the
+//                   evaluation runs;
 //   * kAllocFail  — arm util::thread_alloc_fail_countdown() so the nth
 //                   heap allocation *inside* the evaluation throws
 //                   std::bad_alloc (requires the test binary to install
@@ -15,10 +15,7 @@
 //   * kDelay      — stall via the service's injected util::Clock (a
 //                   ManualClock advances virtual time instantly, so a
 //                   "30 ms straggler" expires deadlines without any real
-//                   sleeping);
-//   * kPoison     — throw chaos::PoisonWorker: the claiming worker
-//                   requeues the job and dies; the service must recover
-//                   (respawn the pool) and still complete the job.
+//                   sleeping).
 //
 // Plans are either built explicitly (throw_at / fail_alloc_at / ...) or
 // drawn pseudo-randomly from a seed (FaultPlan::random) — either way the
@@ -26,9 +23,8 @@
 // runs of a single-worker service produce identical status sequences
 // (asserted by tests/test_svc_chaos.cpp).
 //
-// Installation is test-only: svc::SweepService::install_chaos(&plan)
-// fires before_evaluation() at each attempt; core::EvalContext's
-// chaos_phase_hook covers injection *between* evaluation phases.  The
+// Installation is test-only: a test fires before_evaluation() from the
+// service's one injection seam, svc::SweepService::set_test_hook.  The
 // pml library never constructs a plan itself.
 
 #include <atomic>
@@ -40,23 +36,15 @@
 
 namespace pml::chaos {
 
-/// Injected transient failure (kThrow).  svc::SweepService classifies
-/// any TransientError as retryable under its RetryPolicy.
+/// Injected transient failure (kThrow).  svc::SweepService never caches
+/// a TransientError outcome, so an identical resubmit re-runs.
 class TransientError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 using InjectedFault = TransientError;
 
-/// Thrown by a kPoison action.  Deliberately NOT derived from
-/// std::exception: only the service's worker loop is meant to catch it
-/// (and die); generic catch(std::exception&) recovery paths must not
-/// swallow a poisoned worker by accident.
-struct PoisonWorker {
-  std::uint64_t evaluation = 0;  ///< ordinal that triggered the poison
-};
-
-enum class FaultKind : std::uint8_t { kThrow, kAllocFail, kDelay, kPoison };
+enum class FaultKind : std::uint8_t { kThrow, kAllocFail, kDelay };
 
 class FaultPlan {
  public:
@@ -68,8 +56,8 @@ class FaultPlan {
 
   FaultPlan() = default;
   // The atomic fired-counter would otherwise delete moves; random() and
-  // test fixtures move plans around before installation (never after —
-  // the installed plan must stay put).
+  // test fixtures move plans around before installing them in a hook
+  // (never after — the installed plan must stay put).
   FaultPlan(FaultPlan&& other) noexcept
       : actions_(std::move(other.actions_)),
         fired_(other.fired_.load(std::memory_order_relaxed)) {}
@@ -80,28 +68,27 @@ class FaultPlan {
     return *this;
   }
 
-  /// Builders: arm one action on the given evaluation ordinal (0-based;
-  /// ordinals count evaluation *attempts*, so a retried job consumes
-  /// several).  Later arms on the same ordinal overwrite earlier ones.
+  /// Builders: arm one action on the given evaluation ordinal (0-based).
+  /// Later arms on the same ordinal overwrite earlier ones.
   FaultPlan& throw_at(std::uint64_t evaluation);
   FaultPlan& fail_alloc_at(std::uint64_t evaluation,
                            std::uint64_t alloc_countdown = 1);
   FaultPlan& delay_at(std::uint64_t evaluation, std::uint64_t delay_ns);
-  FaultPlan& poison_at(std::uint64_t evaluation);
 
   /// Seeded pseudo-random plan over evaluations [0, evaluations): each
   /// ordinal gets a fault with probability `fault_rate`, drawn uniformly
-  /// over {throw, alloc-fail, delay(delay_ns), poison}.  Deterministic
+  /// over {throw, alloc-fail, delay(delay_ns)}.  Deterministic
   /// in (seed, evaluations, fault_rate, delay_ns) alone.
   [[nodiscard]] static FaultPlan random(std::uint64_t seed,
                                         std::uint64_t evaluations,
                                         double fault_rate,
                                         std::uint64_t delay_ns = 0);
 
-  /// Service-side injection point: fire whatever is armed for this
-  /// ordinal (and count it).  May throw InjectedFault / PoisonWorker or
-  /// stall on `clock`; a miss is a cheap hash lookup.  Thread-safe: the
-  /// plan is immutable after installation and `fired` is atomic.
+  /// Injection point, called from the service's test hook: fire whatever
+  /// is armed for this ordinal (and count it).  May throw InjectedFault,
+  /// arm an allocation failure, or stall on `clock`; a miss is a cheap
+  /// hash lookup.  Thread-safe: the plan is immutable after installation
+  /// and `fired` is atomic.
   void before_evaluation(std::uint64_t evaluation, util::Clock& clock) const;
 
   [[nodiscard]] std::uint64_t fired() const {

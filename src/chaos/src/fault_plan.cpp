@@ -26,11 +26,6 @@ FaultPlan& FaultPlan::delay_at(std::uint64_t evaluation,
   return *this;
 }
 
-FaultPlan& FaultPlan::poison_at(std::uint64_t evaluation) {
-  actions_[evaluation] = Action{FaultKind::kPoison, 1, 0};
-  return *this;
-}
-
 FaultPlan FaultPlan::random(std::uint64_t seed, std::uint64_t evaluations,
                             double fault_rate, std::uint64_t delay_ns) {
   FaultPlan plan;
@@ -39,13 +34,12 @@ FaultPlan FaultPlan::random(std::uint64_t seed, std::uint64_t evaluations,
   // in a fixed order — the plan is a pure function of the arguments.
   for (std::uint64_t e = 0; e < evaluations; ++e) {
     const double roll = rng.uniform();
-    const std::uint64_t kind = rng.below(4);
+    const std::uint64_t kind = rng.below(3);
     if (roll >= fault_rate) continue;
     switch (kind) {
       case 0: plan.throw_at(e); break;
       case 1: plan.fail_alloc_at(e); break;
-      case 2: plan.delay_at(e, delay_ns); break;
-      default: plan.poison_at(e); break;
+      default: plan.delay_at(e, delay_ns); break;
     }
   }
   return plan;
@@ -67,14 +61,12 @@ void FaultPlan::before_evaluation(std::uint64_t evaluation,
                           std::to_string(evaluation));
     case FaultKind::kAllocFail:
       // The evaluation itself trips the bad_alloc; the worker disarms
-      // after every attempt so an unfired countdown cannot leak forward.
+      // after every job so an unfired countdown cannot leak forward.
       util::arm_alloc_failure(action->alloc_countdown);
       return;
     case FaultKind::kDelay:
       clock.sleep_ns(action->delay_ns);
       return;
-    case FaultKind::kPoison:
-      throw PoisonWorker{evaluation};
   }
 }
 

@@ -22,6 +22,12 @@
 // other configurations still reuse the pools, they just also pay for
 // util::TaskPool group dispatch and optimizer passes.
 //
+// Failure safety: an evaluation that throws part-way (a cancellation, a
+// std::bad_alloc) leaves the context reusable — the next evaluation
+// overwrites every pooled record, so its report equals a fresh
+// context's (tests/test_svc_chaos.cpp walks an allocation failure
+// through every allocation of a cold evaluation to prove it).
+//
 // Thread safety: an EvalContext serves ONE evaluation at a time (its
 // worker slots are handed to that evaluation's threads); use one context
 // per concurrent evaluator, as svc::SweepService does per worker.
@@ -30,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -96,15 +101,6 @@ class EvalContext {
   sta::TimingReport timing;
   power::PowerReport power;
   netlist::Module module_scratch;  ///< the optimizer's working copy
-
-  /// Test-only chaos hook: when set, evaluate_circuit_into calls it at
-  /// every phase boundary with the phase name ("evaluate.verify", ...)
-  /// BEFORE running the phase.  The chaos suite uses it to throw
-  /// mid-evaluation and prove the pooled context recovers (the next
-  /// evaluation on the same context must succeed).  Null in production;
-  /// the null check is one branch, so the zero-allocation contract
-  /// holds.
-  std::function<void(const char* phase)> chaos_phase_hook;
 
  private:
   sim::Levelization lv_;

@@ -12,6 +12,7 @@
 //   7. STA + glitch-aware power -> the Table I row.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "pml/arch/sequential_svm.hpp"
@@ -68,21 +69,11 @@ struct SequentialSvmDesign {
 /// One flow recipe applied to the same raw design: the full hardware
 /// evaluation under that recipe.  The HardwareReport carries the recipe
 /// name, cells, area, energy, and the functional/glitch transition split
-/// — everything the area-vs-glitch-energy trade-off table needs.
+/// — everything the area-vs-glitch-energy trade-off table needs.  Rows
+/// come from svc::SweepService::sweep_flows.
 struct FlowSweepRow {
   std::string flow;
   HardwareReport hw;
 };
-
-/// Evaluate `raw_module` (as generated, optimizer off) once per flow
-/// recipe.  Every row is verified bit-exact against the workload (a
-/// mismatch throws, as in evaluate_circuit).  Used by bench_opt_flows and
-/// the examples' --flow trade-off tables.
-[[nodiscard]] std::vector<FlowSweepRow> sweep_flows(
-    const netlist::Module& raw_module, int cycles_per_inference,
-    const cells::CellLibrary& lib, const CircuitWorkload& workload,
-    const EvaluateOptions& base_options,
-    const std::vector<std::string>& flows = {"none", "area", "energy",
-                                             "balanced"});
 
 }  // namespace pml::core

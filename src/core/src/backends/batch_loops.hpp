@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "kernels.hpp"
@@ -38,7 +37,6 @@
 #include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/lanes.hpp"
-#include "pml/util/parallel.hpp"
 #include "pml/util/task_pool.hpp"
 
 namespace pml::core::backends {
@@ -119,9 +117,9 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
           job.max_mismatches) {
         return;
       }
-      // Cancellation checkpoint between batches: the throw propagates
-      // through run_workers (siblings drain, threads join) so a cancel
-      // or deadline stops the whole verification promptly.
+      // Cancellation checkpoint between batches: every sibling checks the
+      // same token, so a cancel or deadline stops the whole verification
+      // promptly, and run_group rethrows once the group has quiesced.
       if (job.cancel != nullptr) job.cancel->check("verify.batch");
       const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_batches) return;
@@ -158,8 +156,7 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
     }
   };
 
-  util::run_workers(num_threads, next_batch, num_batches, worker,
-                    "verify.worker");
+  util::TaskPool::instance().run_group(num_threads, "verify.worker", worker);
 
   result.mismatches = mismatch_count.load();
 }
@@ -347,8 +344,8 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
                               partial(slot));
       }
     };
-    util::run_workers(num_threads, next_item, items, worker,
-                      "activity.worker");
+    util::TaskPool::instance().run_group(num_threads, "activity.worker",
+                                         worker);
     return num_threads;
   };
 
@@ -450,8 +447,7 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
     }
   };
 
-  util::run_workers(num_threads, next_batch, num_batches, worker,
-                    "fault.worker");
+  util::TaskPool::instance().run_group(num_threads, "fault.worker", worker);
 }
 
 // --- probe ------------------------------------------------------------------

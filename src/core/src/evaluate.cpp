@@ -94,11 +94,9 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
   const std::uint64_t allocs_before = util::thread_alloc_count();
   rep.cycles_per_inference = cycles_per_inference;
 
-  // Phase gate: the chaos hook (test-only injection between phases) and
-  // the cancellation checkpoint.  Both are null in production, so this
-  // is two branches per phase.
+  // Phase gate: the cancellation checkpoint.  Null in production, so
+  // this is one branch per phase.
   const auto phase_gate = [&](const char* phase) {
-    if (ctx.chaos_phase_hook) ctx.chaos_phase_hook(phase);
     if (options.cancel != nullptr) options.cancel->check(phase);
   };
   phase_gate("evaluate");

@@ -117,25 +117,4 @@ SequentialSvmDesign design_sequential_svm(
   return design;
 }
 
-std::vector<FlowSweepRow> sweep_flows(const netlist::Module& raw_module,
-                                      int cycles_per_inference,
-                                      const cells::CellLibrary& lib,
-                                      const CircuitWorkload& workload,
-                                      const EvaluateOptions& base_options,
-                                      const std::vector<std::string>& flows) {
-  std::vector<FlowSweepRow> rows;
-  rows.reserve(flows.size());
-  for (const std::string& flow : flows) {
-    EvaluateOptions opts = base_options;
-    opts.optimize.enabled = true;
-    opts.optimize.flow = flow;
-    FlowSweepRow row;
-    row.flow = flow;
-    row.hw = evaluate_circuit(raw_module, cycles_per_inference, lib,
-                              workload, opts);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 }  // namespace pml::core

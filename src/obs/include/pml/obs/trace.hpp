@@ -5,7 +5,7 @@
 // into chrome://tracing or https://ui.perfetto.dev to see the evaluation
 // pipeline laid out on a timeline: one track per thread — or, for tasks
 // on the shared util::TaskPool, one track per task (TaskTrack below) —
-// so the run_workers fan-outs (verification, power replay, fault
+// so the TaskPool::run_group fan-outs (verification, power replay, fault
 // campaigns, precision search) are visible as parallel worker spans under
 // the phase that spawned them even though the pool reuses OS threads.
 //

@@ -1,14 +1,11 @@
 #include "pml/quant/search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 
 #include "pml/ml/metrics.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/obs/trace.hpp"
-#include "pml/util/parallel.hpp"
 #include "pml/util/task_pool.hpp"
 
 namespace pml::quant {
@@ -57,22 +54,15 @@ PrecisionSearchResult search_min_precision(
   bool found = false;
   for (std::size_t begin = 0; begin < cands.size() && !found;) {
     const std::size_t end = std::min(cands.size(), begin + num_threads);
-    std::atomic<std::size_t> next{begin};
-    util::run_workers(
-        end - begin, next, end,
-        [&](std::size_t /*slot*/) {
+    // One slot per candidate of the chunk.
+    util::TaskPool::instance().run_group(
+        end - begin, "quant.search", [&](std::size_t slot) {
           PML_OBS_SPAN("quant.search.worker");
-          for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= end) return;
-            PML_OBS_COUNT("quant.candidates", 1);
-            const QuantizedSvm q =
-                quantize_svm(model, cands[i].bx, cands[i].bw);
-            accs[i] = ml::accuracy(q.predict_all(holdout.X), holdout.y);
-          }
-        },
-        "quant.search");
+          PML_OBS_COUNT("quant.candidates", 1);
+          const std::size_t i = begin + slot;
+          const QuantizedSvm q = quantize_svm(model, cands[i].bx, cands[i].bw);
+          accs[i] = ml::accuracy(q.predict_all(holdout.X), holdout.y);
+        });
     for (std::size_t i = begin; i < end; ++i) {
       const double acc = accs[i];
       result.sweep.push_back({cands[i].bx, cands[i].bw, acc});

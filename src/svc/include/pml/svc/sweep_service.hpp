@@ -1,6 +1,6 @@
 #pragma once
-// Cached design-space sweep service: a production-hardened async job
-// queue over the hardware-evaluation core.
+// Cached design-space sweep service: an async job queue over the
+// hardware-evaluation core.
 //
 // Design-space exploration (Table I, quantization sweeps, flow trade-off
 // tables) evaluates many (module, workload, flow, options) points, and
@@ -18,33 +18,21 @@
 //     wall-clock opt_seconds/opt_pass_times fields are whatever the one
 //     real evaluation measured).
 //
-// On top of the PR-7 cache sits the robustness layer:
+// Around the cache:
 //
 //   * **Deadlines & cancellation** — SweepRequest::deadline_ns starts a
 //     per-job budget at submit; a util::CancellationToken built from the
 //     job's cancel flag + deadline threads through evaluate_circuit_into's
 //     phase boundaries and the verify/activity worker batch loops, so a
 //     cancel() or an expired deadline aborts an evaluation mid-flight.
-//     wait_outcome() reports JobStatus::{kOk,kFailed,kTimeout,kCancelled,
-//     kShed}; wait() maps non-kOk to typed exceptions.
-//   * **Backpressure** — Options::max_queue_depth bounds the queue;
-//     AdmissionPolicy picks what a full queue does to submit(): block
-//     until space, shed (ticket comes back pre-resolved as kShed), or run
-//     the evaluation on the caller's own thread.
+//     wait_outcome() reports JobStatus::{kOk,kFailed,kTimeout,kCancelled};
+//     wait() maps non-kOk to typed exceptions.
 //   * **Bounded cache** — Options::max_cache_bytes caps the byte-accounted
 //     result cache; least-recently-used entries are evicted (waiters are
 //     unaffected: tickets hold the job record alive independently of the
-//     cache).  An evicted key re-evaluates on its next submit.
-//   * **Retry** — failures classified transient (chaos::TransientError,
-//     std::bad_alloc, or RetryPolicy::is_transient's verdict) re-run up to
-//     RetryPolicy::max_attempts times with doubling backoff slept on the
-//     injected util::Clock, so tests retry instantly on a ManualClock.
-//   * **Fault tolerance** — a chaos::PoisonWorker escaping an evaluation
-//     retires the claiming worker seat after requeueing the job (a fresh
-//     seat takes over); when every seat of a worker generation has been
-//     poisoned, the next seat counts as a pool respawn
-//     (`svc.workers.respawned`), mirroring the dedicated-pool semantics
-//     this service had before the shared TaskPool.
+//     cache).  An evicted key re-evaluates on its next submit.  A failure
+//     is cached like a result unless it is transient (chaos::TransientError
+//     or std::bad_alloc), which the next identical submit re-runs.
 //   * **Lifecycle** — stop(StopMode::kDrain) finishes queued work then
 //     quiesces; stop(StopMode::kAbort) fails queued jobs with
 //     ServiceStopped and requests cancellation of running ones.  Both are
@@ -59,11 +47,9 @@
 // oversubscribing cores.  Each seat owns one pooled core::EvalContext,
 // so steady-state job evaluation rides the zero-allocation path (module
 // validation runs once at submit, workers skip it).  Observability:
-// `svc.jobs.submitted`, `svc.cache.hits`,
-// `svc.cache.misses`, `svc.jobs.deduped`, `svc.jobs.timeout`,
-// `svc.jobs.cancelled`, `svc.jobs.shed`, `svc.jobs.retried`,
-// `svc.jobs.caller_runs`, `svc.cache.evictions`,
-// `svc.workers.respawned`, and stats().
+// `svc.jobs.submitted`, `svc.cache.hits`, `svc.cache.misses`,
+// `svc.jobs.deduped`, `svc.jobs.timeout`, `svc.jobs.cancelled`,
+// `svc.cache.evictions`, and stats().
 
 #include <atomic>
 #include <condition_variable>
@@ -87,43 +73,20 @@
 #include "pml/netlist/module.hpp"
 #include "pml/util/clock.hpp"
 
-namespace pml::chaos {
-class FaultPlan;
-}  // namespace pml::chaos
-
 namespace pml::svc {
 
-/// Terminal state of a job (and of a shed admission).
+/// Terminal state of a job.
 enum class JobStatus : std::uint8_t {
   kOk,         ///< evaluation completed; report is valid
-  kFailed,     ///< evaluation threw (after exhausting any retries)
+  kFailed,     ///< evaluation threw
   kTimeout,    ///< deadline expired before completion
   kCancelled,  ///< cancel() (or stop-abort) interrupted the job
-  kShed,       ///< rejected at admission (queue full, AdmissionPolicy::kShed)
-};
-
-/// What submit() does when the queue is at max_queue_depth.
-enum class AdmissionPolicy : std::uint8_t {
-  kBlock,       ///< wait for space (default; submit() may block)
-  kShed,        ///< fail fast: return a pre-resolved kShed ticket
-  kCallerRuns,  ///< evaluate synchronously on the submitting thread
 };
 
 /// How stop() treats work still in the queue.
 enum class StopMode : std::uint8_t {
   kDrain,  ///< finish every queued job, then join the pool
   kAbort,  ///< fail queued jobs (ServiceStopped) and cancel running ones
-};
-
-/// Retry schedule for transiently failing evaluations.  Attempt n > 1
-/// sleeps backoff_ns * 2^(n-2) on the service clock first; a ManualClock
-/// makes the whole schedule instantaneous and assertable.
-struct RetryPolicy {
-  std::size_t max_attempts = 1;   ///< total attempts (1 = no retry)
-  std::uint64_t backoff_ns = 0;   ///< base backoff before attempt 2
-  /// Optional override of the transient classification.  Null (default)
-  /// uses the built-in rule: chaos::TransientError or std::bad_alloc.
-  std::function<bool(const std::exception_ptr&)> is_transient;
 };
 
 /// Base of every service-originated exception.  The what() string of any
@@ -136,11 +99,6 @@ class ServiceError : public std::runtime_error {
 };
 /// submit() after stop(), or a queued job aborted by stop(kAbort).
 class ServiceStopped : public ServiceError {
- public:
-  using ServiceError::ServiceError;
-};
-/// wait() on a ticket that was shed at admission.
-class JobShed : public ServiceError {
  public:
   using ServiceError::ServiceError;
 };
@@ -172,8 +130,8 @@ struct SweepRequest {
   std::shared_ptr<const core::CircuitWorkload> workload;
   /// Optional flow-recipe override: non-empty forces
   /// options.optimize.enabled = true and options.optimize.flow = flow for
-  /// this job (exactly core::sweep_flows' per-row rewrite).  Empty uses
-  /// `options` as given.
+  /// this job (sweep_flows' per-row rewrite).  Empty uses `options` as
+  /// given.
   std::string flow;
   core::EvaluateOptions options;
   /// Per-job completion budget, relative to submit(), on the service
@@ -185,12 +143,10 @@ struct SweepRequest {
 /// Handle returned by submit(); redeem with wait() / wait_outcome().
 /// The key is the content digest of the request — equal keys mean "same
 /// evaluation".  The handle pins the job record (report, status, error)
-/// for this waiter even after cache eviction; a shed admission has a null
-/// handle and admitted == JobStatus::kShed.
+/// for this waiter even after cache eviction.
 struct SweepTicket {
   std::uint64_t key = 0;
-  std::uint64_t id = 0;  ///< service-unique job id (0 for shed tickets)
-  JobStatus admitted = JobStatus::kOk;
+  std::uint64_t id = 0;  ///< service-unique job id
   std::shared_ptr<void> handle;
 };
 
@@ -205,7 +161,7 @@ struct SweepOutcome {
 /// Cumulative service counters (monotonic since construction).
 struct SweepStats {
   std::uint64_t submitted = 0;       ///< submit() calls
-  std::uint64_t evaluated = 0;       ///< evaluation attempts that ran
+  std::uint64_t evaluated = 0;       ///< evaluations that ran
   std::uint64_t cache_hits = 0;      ///< submits answered from the cache
   std::uint64_t cache_misses = 0;    ///< submits that enqueued a new job
   std::uint64_t inflight_deduped = 0;  ///< submits that joined a live job
@@ -213,12 +169,8 @@ struct SweepStats {
   std::uint64_t cache_entries = 0;   ///< distinct keys known (any state)
   std::uint64_t timeouts = 0;        ///< jobs that finished kTimeout
   std::uint64_t cancelled = 0;       ///< jobs that finished kCancelled
-  std::uint64_t shed = 0;            ///< submits rejected at admission
-  std::uint64_t retried = 0;         ///< transient failures re-attempted
-  std::uint64_t caller_runs = 0;     ///< submits evaluated on the caller
   std::uint64_t cache_bytes = 0;     ///< current byte-accounted cache size
   std::uint64_t cache_evictions = 0;  ///< entries LRU-evicted
-  std::uint64_t workers_respawned = 0;  ///< pool respawns after poisoning
   /// Gauge (not monotonic): threads currently blocked in wait_outcome().
   std::uint64_t waiters = 0;
   /// Fraction of resubmitted work answered without a fresh evaluation.
@@ -238,23 +190,10 @@ class SweepService {
     /// time; N runs up to N concurrent evaluations, each seat a detached
     /// task on the shared util::TaskPool with its own pooled EvalContext.
     std::size_t num_workers = 1;
-    /// Threads *inside* each evaluation (verification shards + power
-    /// replay shards).  0 = auto: the evaluation fan-outs size themselves
-    /// to the shared TaskPool — safe even with concurrent seats, because
-    /// every fan-out rides the same fixed pool instead of spawning
-    /// threads.  Results are identical under every setting
-    /// (evaluate_circuit's determinism contract) — this is purely a
-    /// throughput knob.
-    std::size_t eval_threads = 0;
-    /// Queue bound for backpressure.  0 = unbounded (every submit
-    /// enqueues); otherwise `admission` decides what a full queue does.
-    std::size_t max_queue_depth = 0;
-    AdmissionPolicy admission = AdmissionPolicy::kBlock;
     /// Result-cache budget (bytes, estimated per entry from report
     /// capacities).  0 = unbounded.  Exceeding it evicts LRU entries.
     std::size_t max_cache_bytes = 0;
-    RetryPolicy retry;
-    /// Time source for deadlines, backoff, and chaos delays.  Null uses
+    /// Time source for deadlines (and test-injected delays).  Null uses
     /// util::steady_clock(); tests inject a util::ManualClock.  Borrowed;
     /// must outlive the service.
     util::Clock* clock = nullptr;
@@ -283,29 +222,25 @@ class SweepService {
   /// invalid module, std::invalid_argument on null module/workload,
   /// ServiceStopped after stop()); workers then skip re-validation.  A
   /// request whose key matches a completed job is a cache hit (no work
-  /// enqueued); one matching a queued/running job joins it.  On a full
-  /// queue, behavior follows Options::admission — note kShed returns a
-  /// pre-resolved ticket rather than throwing, so batch submitters can
-  /// keep going and tally the sheds from wait_outcome().
+  /// enqueued); one matching a queued/running job joins it.
   SweepTicket submit(SweepRequest request);
 
   /// Block until the ticket's job completes and return a copy of its
   /// HardwareReport.  Non-kOk outcomes throw: the (label-wrapped)
-  /// evaluation exception for kFailed, JobTimeout / JobCancelled /
-  /// JobShed for the rest — every waiter of a failed job gets the same
-  /// exception.  Throws std::invalid_argument for a ticket this service
-  /// never issued.
+  /// evaluation exception for kFailed, JobTimeout / JobCancelled for
+  /// the rest — every waiter of a failed job gets the same exception.
+  /// Throws std::invalid_argument for a ticket this service never issued.
   [[nodiscard]] core::HardwareReport wait(const SweepTicket& ticket);
 
   /// wait() without the throw: block until done and return the status
-  /// plus whichever of report/error applies.  Shed tickets resolve
-  /// immediately.  Still throws std::invalid_argument for foreign
-  /// tickets (that is caller misuse, not a job outcome).
+  /// plus whichever of report/error applies.  Still throws
+  /// std::invalid_argument for foreign tickets (that is caller misuse, not
+  /// a job outcome).
   [[nodiscard]] SweepOutcome wait_outcome(const SweepTicket& ticket);
 
   /// Request cancellation: a queued job resolves kCancelled immediately;
   /// a running one stops at its next cancellation checkpoint.  Returns
-  /// false when there is nothing to cancel (already done, shed, or a
+  /// false when there is nothing to cancel (already done, or a
   /// foreign/default ticket) — cancel() never throws.
   bool cancel(const SweepTicket& ticket);
 
@@ -320,11 +255,12 @@ class SweepService {
   /// evaluate_circuit with caching on top.
   [[nodiscard]] core::HardwareReport evaluate(SweepRequest request);
 
-  /// Table-I-wide driver mirroring core::sweep_flows: evaluate
-  /// `raw_module` once per flow recipe (all rows submitted up front, so
-  /// they pipeline across workers) and return the rows in `flows` order.
-  /// Identical rows to core::sweep_flows on the same inputs — with the
-  /// cache making repeat sweeps free.
+  /// The flow-sweep driver: evaluate `raw_module` (as generated,
+  /// optimizer off) once per flow recipe and return the rows in `flows`
+  /// order.  All rows are submitted up front, so they pipeline across
+  /// workers, and the cache makes repeat sweeps free.  Every row is
+  /// verified bit-exact against the workload (a mismatch throws, as in
+  /// evaluate_circuit).
   [[nodiscard]] std::vector<core::FlowSweepRow> sweep_flows(
       std::shared_ptr<const netlist::Module> raw_module,
       int cycles_per_inference,
@@ -335,22 +271,18 @@ class SweepService {
 
   [[nodiscard]] SweepStats stats() const;
 
-  /// Test-only: fire `plan` before every evaluation attempt (the plan is
-  /// borrowed and must outlive the service; null uninstalls).  Install
-  /// before the first submit — installation is not synchronized against
-  /// running workers.
-  void install_chaos(const chaos::FaultPlan* plan) { chaos_plan_ = plan; }
-  /// Test-only: called with the evaluation ordinal at the start of every
-  /// attempt, on the evaluating thread.  Benches use it to hold a worker
-  /// hostage (saturating the queue deterministically) or to timestamp
-  /// attempt starts.  Same installation caveat as install_chaos().
+  /// Test-only seam: called with the evaluation ordinal (a process-order
+  /// counter) at the start of every evaluation, on the evaluating thread.
+  /// An exception it throws fails the job like an evaluation error.
+  /// Tests hold a worker hostage here, or fire a chaos::FaultPlan with
+  /// `plan.before_evaluation(ordinal, clock)`.  Install before the first
+  /// submit — installation is not synchronized against running workers.
   void set_test_hook(std::function<void(std::uint64_t)> hook) {
     test_hook_ = std::move(hook);
   }
 
  private:
   enum class JobState { kQueued, kRunning, kDone };
-  enum class RunResult { kCompleted, kPoisoned };
   struct Job {
     SweepService* owner = nullptr;
     std::uint64_t id = 0;
@@ -363,7 +295,7 @@ class SweepService {
     core::HardwareReport report;
     std::exception_ptr error;
     // Cache residency (guarded by mu_): only kDone jobs whose outcome is
-    // cacheable (kOk, or kFailed on a permanent error) enter the LRU.
+    // cacheable (kOk, or kFailed on a non-transient error) enter the LRU.
     bool in_lru = false;
     std::size_t bytes = 0;
     std::list<Job*>::iterator lru_it;
@@ -374,18 +306,16 @@ class SweepService {
   void maybe_spawn_workers_locked();
   /// One seat's drain loop, running as a TaskPool detached task.
   void worker_task(std::size_t slot);
-  RunResult run_job(core::EvalContext& ctx, const std::shared_ptr<Job>& job,
-                    bool on_caller);
+  void run_job(core::EvalContext& ctx, const std::shared_ptr<Job>& job);
   void finish_job(const std::shared_ptr<Job>& job, JobStatus status,
                   std::exception_ptr error, bool cacheable);
   void finish_job_locked(const std::shared_ptr<Job>& job, JobStatus status,
                          std::exception_ptr error, bool cacheable);
   void evict_over_budget_locked();
-  /// Cache-hit / in-flight-dedup check; returns the joined ticket (and
-  /// touches the LRU) or nullopt when the key is unknown.  mu_ held.
+  /// Cache-hit / in-flight-dedup check: fills `out` with the joined
+  /// ticket (and touches the LRU), or returns false when the key is
+  /// unknown.  mu_ held.
   [[nodiscard]] bool try_join_locked(std::uint64_t key, SweepTicket& out);
-  [[nodiscard]] bool is_transient(const std::exception_ptr& error) const;
-  [[nodiscard]] static core::EvalContext& caller_context();
 
   const cells::CellLibrary& lib_;
   Options options_;
@@ -393,7 +323,6 @@ class SweepService {
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;     ///< job done or a seat retired
-  std::condition_variable space_cv_;    ///< queue shrank (kBlock admission)
   std::condition_variable waiters_cv_;  ///< waiters_ hit zero (destructor)
   std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::deque<std::shared_ptr<Job>> queue_;  ///< submission order
@@ -410,14 +339,9 @@ class SweepService {
   /// a seat's context is touched only by the task holding the seat).
   std::vector<std::size_t> free_slots_;
   std::size_t active_workers_ = 0;  ///< seats with a scheduled/running task
-  /// Seats retired by poison since the last counted respawn; reaching
-  /// num_workers means the whole generation died (the old dedicated
-  /// pool's respawn condition) and bumps workers_respawned.
-  std::size_t poisoned_seats_ = 0;
-  /// Process-order evaluation-attempt counter (the chaos ordinal).
+  /// Process-order evaluation counter (the test-hook ordinal).
   std::atomic<std::uint64_t> eval_ordinal_{0};
 
-  const chaos::FaultPlan* chaos_plan_ = nullptr;
   std::function<void(std::uint64_t)> test_hook_;
 };
 

@@ -73,7 +73,7 @@ void digest_workload(obs::Fnv1a& h, const core::CircuitWorkload& w) {
 // same reason as the threading knobs: every lane-word backend is proven
 // bit-identical to the u64 reference (tests/test_sim_backend.cpp), so a
 // u64 request may legally hit a cache entry computed under AVX-512.
-// Deadlines/retry are service policy, not evaluation inputs, so they are
+// Deadlines are service policy, not evaluation inputs, so they are
 // excluded too.
 void digest_options(obs::Fnv1a& h, const core::EvaluateOptions& o) {
   h.update_u64(o.power_samples);
@@ -95,14 +95,9 @@ void digest_options(obs::Fnv1a& h, const core::EvaluateOptions& o) {
 /// traceable from what() alone).
 std::string job_label(std::uint64_t id, std::uint64_t key) {
   char buf[64];
-  if (id != 0) {
-    std::snprintf(buf, sizeof(buf), "SweepService job #%llu (key %016llx)",
-                  static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(key));
-  } else {
-    std::snprintf(buf, sizeof(buf), "SweepService job (key %016llx)",
-                  static_cast<unsigned long long>(key));
-  }
+  std::snprintf(buf, sizeof(buf), "SweepService job #%llu (key %016llx)",
+                static_cast<unsigned long long>(id),
+                static_cast<unsigned long long>(key));
   return buf;
 }
 
@@ -133,6 +128,22 @@ std::exception_ptr enrich_error(std::uint64_t id, std::uint64_t key,
         JobError(job_label(id, key) + ": " + e.what()));
   } catch (...) {
     return cause;
+  }
+}
+
+/// Whether a failure sticks in the cache.  Permanent failures do
+/// (identical resubmits get the same verdict for free); transient ones
+/// (chaos::TransientError, std::bad_alloc) do not — a later submit
+/// deserves a fresh roll of the dice.
+bool cacheable_failure(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const chaos::TransientError&) {
+    return false;
+  } catch (const std::bad_alloc&) {
+    return false;
+  } catch (...) {
+    return true;
   }
 }
 
@@ -208,7 +219,6 @@ void SweepService::stop(StopMode mode) {
       }
     }
   }
-  space_cv_.notify_all();
   // Quiesce.  Under kDrain the worker seats keep claiming until the
   // queue is empty (worker_task never checks stopping_); under kAbort the
   // queue was just failed and running jobs were asked to cancel.  Every
@@ -244,7 +254,6 @@ void SweepService::maybe_spawn_workers_locked() {
                           enrich_error(job->id, job->key, spawn_error),
                           /*cacheable=*/false);
       }
-      space_cv_.notify_all();
       return;
     }
   }
@@ -267,31 +276,13 @@ void SweepService::worker_task(std::size_t slot) {
       job = queue_.front();
       queue_.pop_front();
       job->state = JobState::kRunning;
-      space_cv_.notify_one();
     }
-    if (run_job(ctx, job, /*on_caller=*/false) == RunResult::kPoisoned) {
-      std::lock_guard<std::mutex> lk(mu_);
-      free_slots_.push_back(slot);
-      --active_workers_;
-      // Seat-generation accounting: the dedicated pool this service used
-      // to own respawned (and counted) only once *all* its workers had
-      // died.  Mirror that: count a respawn after num_workers poison
-      // retirements, then start a new generation.
-      if (++poisoned_seats_ >= options_.num_workers) {
-        poisoned_seats_ = 0;
-        ++stats_.workers_respawned;
-        PML_OBS_COUNT("svc.workers.respawned", 1);
-      }
-      maybe_spawn_workers_locked();  // the requeued job needs a fresh seat
-      done_cv_.notify_all();
-      return;
-    }
+    run_job(ctx, job);
   }
 }
 
-SweepService::RunResult SweepService::run_job(core::EvalContext& ctx,
-                                              const std::shared_ptr<Job>& job,
-                                              bool on_caller) {
+void SweepService::run_job(core::EvalContext& ctx,
+                           const std::shared_ptr<Job>& job) {
   const util::CancellationToken token(&job->cancel_flag, job->deadline_abs_ns,
                                       clock_);
   // A job can be claimed already dead: cancelled while queued behind a
@@ -299,114 +290,47 @@ SweepService::RunResult SweepService::run_job(core::EvalContext& ctx,
   // it.  Resolve it without spending an evaluation.
   if (token.cancel_requested()) {
     finish_job(job, JobStatus::kCancelled, nullptr, /*cacheable=*/false);
-    return RunResult::kCompleted;
+    return;
   }
   if (token.deadline_expired()) {
     finish_job(job, JobStatus::kTimeout, nullptr, /*cacheable=*/false);
-    return RunResult::kCompleted;
+    return;
   }
-  const std::size_t max_attempts =
-      std::max<std::size_t>(1, options_.retry.max_attempts);
-  for (std::size_t attempt = 1;; ++attempt) {
-    std::exception_ptr error;
-    try {
-      const std::uint64_t ordinal =
-          eval_ordinal_.fetch_add(1, std::memory_order_relaxed);
-      if (test_hook_) test_hook_(ordinal);
-      if (chaos_plan_ != nullptr) {
-        chaos_plan_->before_evaluation(ordinal, *clock_);
-      }
-      core::EvaluateOptions opts = job->request.options;
-      // The service validated at submit(); workers run the lean path.
-      opts.validate_module = false;
-      opts.cancel = &token;
-      if (!job->request.flow.empty()) {
-        opts.optimize.enabled = true;
-        opts.optimize.flow = job->request.flow;
-      }
-      if (options_.eval_threads != 0) {
-        opts.verify.num_threads = options_.eval_threads;
-        opts.power_threads = options_.eval_threads;
-      }
-      // eval_threads == 0 leaves the request's own thread knobs in
-      // place: evaluation fan-outs ride the shared TaskPool, so even
-      // concurrent seats (or a caller-run beside them) compose against
-      // one fixed thread budget instead of oversubscribing cores.
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.evaluated;
-      }
-      core::evaluate_circuit_into(ctx, job->report, *job->request.module,
-                                  job->request.cycles_per_inference, lib_,
-                                  *job->request.workload, opts);
-      util::disarm_alloc_failure();
-      finish_job(job, JobStatus::kOk, nullptr, /*cacheable=*/true);
-      return RunResult::kCompleted;
-    } catch (const chaos::PoisonWorker&) {
-      util::disarm_alloc_failure();
-      if (on_caller) {
-        // A caller-run evaluation has no pool to retire from; the poison
-        // degrades to a plain permanent failure.
-        finish_job(job, JobStatus::kFailed,
-                   std::make_exception_ptr(JobError(
-                       job_label(job->id, job->key) +
-                       ": worker poisoned during caller-run evaluation")),
-                   /*cacheable=*/false);
-        return RunResult::kCompleted;
-      }
-      // Put the job back at the head of the line and retire this seat; a
-      // fresh seat — with a fresh evaluation ordinal, so the poison does
-      // not refire — is scheduled by worker_task as part of retiring.
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        job->state = JobState::kQueued;
-        queue_.push_front(job);
-      }
-      return RunResult::kPoisoned;
-    } catch (const util::Cancelled& c) {
-      util::disarm_alloc_failure();
-      finish_job(job,
-                 c.reason() == util::Cancelled::Reason::kDeadline
-                     ? JobStatus::kTimeout
-                     : JobStatus::kCancelled,
-                 nullptr, /*cacheable=*/false);
-      return RunResult::kCompleted;
-    } catch (...) {
-      // Disarm so an injected-but-unfired allocation failure can never
-      // leak into the next job on this thread.
-      util::disarm_alloc_failure();
-      error = std::current_exception();
+  try {
+    const std::uint64_t ordinal =
+        eval_ordinal_.fetch_add(1, std::memory_order_relaxed);
+    if (test_hook_) test_hook_(ordinal);
+    core::EvaluateOptions opts = job->request.options;
+    // The service validated at submit(); workers run the lean path.
+    opts.validate_module = false;
+    opts.cancel = &token;
+    if (!job->request.flow.empty()) {
+      opts.optimize.enabled = true;
+      opts.optimize.flow = job->request.flow;
     }
-    const bool transient = is_transient(error);
-    if (transient && attempt < max_attempts) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.retried;
-      }
-      PML_OBS_COUNT("svc.jobs.retried", 1);
-      if (options_.retry.backoff_ns != 0) {
-        const unsigned shift =
-            static_cast<unsigned>(std::min<std::size_t>(attempt - 1, 32));
-        clock_->sleep_ns(options_.retry.backoff_ns << shift);
-      }
-      // The backoff may have consumed the budget (or a cancel arrived).
-      if (token.cancel_requested()) {
-        finish_job(job, JobStatus::kCancelled, nullptr, /*cacheable=*/false);
-        return RunResult::kCompleted;
-      }
-      if (token.deadline_expired()) {
-        finish_job(job, JobStatus::kTimeout, nullptr, /*cacheable=*/false);
-        return RunResult::kCompleted;
-      }
-      continue;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++stats_.evaluated;
     }
-    // Permanent failures are cacheable (identical resubmits get the same
-    // verdict for free); an exhausted transient is not — a later submit
-    // deserves a fresh roll of the dice.
-    finish_job(job, JobStatus::kFailed,
-               enrich_error(job->id, job->key, error),
-               /*cacheable=*/!transient);
-    return RunResult::kCompleted;
+    core::evaluate_circuit_into(ctx, job->report, *job->request.module,
+                                job->request.cycles_per_inference, lib_,
+                                *job->request.workload, opts);
+    util::disarm_alloc_failure();
+    finish_job(job, JobStatus::kOk, nullptr, /*cacheable=*/true);
+  } catch (const util::Cancelled& c) {
+    util::disarm_alloc_failure();
+    finish_job(job,
+               c.reason() == util::Cancelled::Reason::kDeadline
+                   ? JobStatus::kTimeout
+                   : JobStatus::kCancelled,
+               nullptr, /*cacheable=*/false);
+  } catch (...) {
+    // Disarm so an injected-but-unfired allocation failure can never
+    // leak into the next job on this thread.
+    util::disarm_alloc_failure();
+    const std::exception_ptr error = std::current_exception();
+    finish_job(job, JobStatus::kFailed, enrich_error(job->id, job->key, error),
+               cacheable_failure(error));
   }
 }
 
@@ -450,8 +374,6 @@ void SweepService::finish_job_locked(const std::shared_ptr<Job>& job,
       ++stats_.cancelled;
       PML_OBS_COUNT("svc.jobs.cancelled", 1);
       break;
-    case JobStatus::kShed:
-      break;  // shed admissions never materialize a job
   }
   // Drop the request's shared ownership now that the outcome is recorded
   // — keeps module/workload lifetimes tied to the caller, not the cache.
@@ -468,7 +390,7 @@ void SweepService::finish_job_locked(const std::shared_ptr<Job>& job,
       job->in_lru = true;
       evict_over_budget_locked();
     } else {
-      // Timeout / cancel / exhausted-transient outcomes do not stick: the
+      // Timeout / cancel / transient-failure outcomes do not stick: the
       // next identical submit re-runs.  Waiters still hold the record via
       // their ticket handle.
       jobs_.erase(it);
@@ -506,10 +428,7 @@ bool SweepService::try_join_locked(std::uint64_t key, SweepTicket& out) {
     ++stats_.inflight_deduped;
     PML_OBS_COUNT("svc.jobs.deduped", 1);
   }
-  out.key = key;
-  out.id = job->id;
-  out.admitted = JobStatus::kOk;
-  out.handle = std::static_pointer_cast<void>(job);
+  out = SweepTicket{key, job->id, job};
   return true;
 }
 
@@ -533,37 +452,16 @@ SweepTicket SweepService::submit(SweepRequest request) {
   if (const auto err = request.module->validate()) {
     throw std::runtime_error("SweepService::submit: invalid module: " + *err);
   }
-  std::shared_ptr<Job> job;
-  bool caller_runs = false;
+  std::shared_ptr<Job> job = std::make_shared<Job>();
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    for (;;) {
-      if (stopping_) {
-        throw ServiceStopped("SweepService::submit: service is stopped");
-      }
-      // Re-check after validation and after every admission wait: an
-      // identical request may have landed meanwhile.
-      SweepTicket joined;
-      if (try_join_locked(key, joined)) return joined;
-      if (options_.max_queue_depth == 0 ||
-          queue_.size() < options_.max_queue_depth) {
-        break;  // admitted to the queue
-      }
-      if (options_.admission == AdmissionPolicy::kShed) {
-        ++stats_.shed;
-        PML_OBS_COUNT("svc.jobs.shed", 1);
-        SweepTicket t;
-        t.key = key;
-        t.admitted = JobStatus::kShed;
-        return t;  // pre-resolved; wait_outcome() reports kShed
-      }
-      if (options_.admission == AdmissionPolicy::kCallerRuns) {
-        caller_runs = true;
-        break;
-      }
-      space_cv_.wait(lk);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (stopping_) {
+      throw ServiceStopped("SweepService::submit: service is stopped");
     }
-    job = std::make_shared<Job>();
+    // Re-check after validation: an identical request may have landed
+    // meanwhile.
+    SweepTicket joined;
+    if (try_join_locked(key, joined)) return joined;
     job->owner = this;
     job->id = ++next_job_id_;
     job->key = key;
@@ -574,45 +472,13 @@ SweepTicket SweepService::submit(SweepRequest request) {
     jobs_.emplace(key, job);
     ++stats_.cache_misses;
     PML_OBS_COUNT("svc.cache.misses", 1);
-    if (caller_runs) {
-      job->state = JobState::kRunning;
-      ++stats_.caller_runs;
-      PML_OBS_COUNT("svc.jobs.caller_runs", 1);
-    } else {
-      queue_.push_back(job);
-      maybe_spawn_workers_locked();
-    }
+    queue_.push_back(job);
+    maybe_spawn_workers_locked();
   }
-  if (caller_runs) {
-    // Backpressure via work-stealing: the submitting thread pays for its
-    // own evaluation on a thread-local pooled context.  run_job resolves
-    // the job fully (including poison, which degrades to failure here).
-    run_job(caller_context(), job, /*on_caller=*/true);
-  }
-  SweepTicket t;
-  t.key = key;
-  t.id = job->id;
-  t.admitted = JobStatus::kOk;
-  t.handle = std::static_pointer_cast<void>(job);
-  return t;
-}
-
-core::EvalContext& SweepService::caller_context() {
-  // One pooled context per submitting thread: caller-run evaluations get
-  // warm-capacity reuse without racing the worker pool's contexts.
-  static thread_local core::EvalContext ctx;
-  return ctx;
+  return SweepTicket{key, job->id, job};
 }
 
 SweepOutcome SweepService::wait_outcome(const SweepTicket& ticket) {
-  if (ticket.admitted == JobStatus::kShed) {
-    SweepOutcome out;
-    out.status = JobStatus::kShed;
-    out.error = std::make_exception_ptr(
-        JobShed(job_label(0, ticket.key) +
-                ": shed at admission (queue at max_queue_depth)"));
-    return out;
-  }
   const auto job = std::static_pointer_cast<Job>(ticket.handle);
   if (!job || job->owner != this) {
     throw std::invalid_argument(
@@ -642,7 +508,6 @@ core::HardwareReport SweepService::wait(const SweepTicket& ticket) {
 }
 
 bool SweepService::cancel(const SweepTicket& ticket) {
-  if (ticket.admitted == JobStatus::kShed) return false;
   const auto job = std::static_pointer_cast<Job>(ticket.handle);
   if (!job || job->owner != this) return false;
   std::lock_guard<std::mutex> lk(mu_);
@@ -652,27 +517,11 @@ bool SweepService::cancel(const SweepTicket& ticket) {
     // Still waiting for a worker: resolve it right here instead of
     // making a worker claim a corpse.
     const auto it = std::find(queue_.begin(), queue_.end(), job);
-    if (it != queue_.end()) {
-      queue_.erase(it);
-      space_cv_.notify_one();
-    }
+    if (it != queue_.end()) queue_.erase(it);
     finish_job_locked(job, JobStatus::kCancelled, nullptr,
                       /*cacheable=*/false);
   }
   return true;
-}
-
-bool SweepService::is_transient(const std::exception_ptr& error) const {
-  if (options_.retry.is_transient) return options_.retry.is_transient(error);
-  try {
-    std::rethrow_exception(error);
-  } catch (const chaos::TransientError&) {
-    return true;
-  } catch (const std::bad_alloc&) {
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 core::HardwareReport SweepService::evaluate(SweepRequest request) {

@@ -31,7 +31,8 @@ namespace pml::util {
 /// allocation on this thread throws std::bad_alloc (and disarms).  0 =
 /// disarmed (the default; a no-op without the hook).  This is the
 /// chaos-engineering lever behind chaos::FaultPlan's fail-allocation
-/// action and the run_workers thread-spawn-failure tests.
+/// action, the TaskPool group-submission-failure test, and the
+/// evaluation-context recovery walk.
 [[nodiscard]] std::uint64_t& thread_alloc_fail_countdown() noexcept;
 
 /// Make the nth allocation on this thread fail (1 = the very next one).

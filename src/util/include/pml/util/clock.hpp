@@ -1,10 +1,10 @@
 #pragma once
-// Injectable time source for deadline and retry-backoff logic.
+// Injectable time source for deadline logic.
 //
 // Production code (svc::SweepService) talks to the Clock interface so
 // the robustness tests can substitute a ManualClock: deadlines "expire"
-// and exponential backoffs "sleep" by advancing a counter, which makes
-// every timeout/retry scenario deterministic and instant — the test
+// and injected straggler delays "sleep" by advancing a counter, which
+// makes every timeout scenario deterministic and instant — the test
 // suite never calls a real sleep.  SteadyClock is the production
 // implementation (std::chrono::steady_clock, monotonic).
 
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace pml::util {
 
@@ -47,8 +46,7 @@ class SteadyClock final : public Clock {
 [[nodiscard]] Clock& steady_clock();
 
 /// Deterministic test clock: time only moves when advance() is called or
-/// a sleep_ns() auto-advances it.  Every requested sleep is recorded so
-/// tests can assert an exact backoff sequence without ever blocking.
+/// a sleep_ns() auto-advances it, so nothing ever blocks.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(std::uint64_t start_ns = 0) : now_(start_ns) {}
@@ -57,26 +55,16 @@ class ManualClock final : public Clock {
     const std::lock_guard<std::mutex> lock(mu_);
     return now_;
   }
-  /// Never blocks: advances virtual time by `ns` and records the request.
-  void sleep_ns(std::uint64_t ns) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    now_ += ns;
-    sleeps_.push_back(ns);
-  }
+  /// Never blocks: advances virtual time by `ns`.
+  void sleep_ns(std::uint64_t ns) override { advance(ns); }
   void advance(std::uint64_t ns) {
     const std::lock_guard<std::mutex> lock(mu_);
     now_ += ns;
   }
-  /// Every sleep_ns() request, in call order.
-  [[nodiscard]] std::vector<std::uint64_t> sleeps() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return sleeps_;
-  }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::uint64_t now_ = 0;
-  std::vector<std::uint64_t> sleeps_;
 };
 
 }  // namespace pml::util

@@ -2,13 +2,15 @@
 // pml::util::TaskPool — the process-lifetime work-stealing thread pool
 // behind every fan-out in the evaluation stack.
 //
-// Before this existed, util::run_workers spawned and joined a fresh set
-// of std::threads on every call: fine when a call simulates for seconds,
-// first-order overhead once the SWAR/AVX kernels made small batches
-// sub-millisecond, and a core-oversubscription hazard once
-// svc::SweepService stacked its own worker threads on top of the
-// per-evaluation fan-outs.  The pool replaces all of that with one
-// lazily-started set of worker threads that live for the process:
+// It is the one fan-out primitive: the verify, activity and fault batch
+// loops, the precision search, SVM training and the Table I design
+// builds all call run_group directly.  Spawning and joining fresh
+// std::threads per fan-out is first-order overhead once the SWAR/AVX
+// kernels make small batches sub-millisecond, and a
+// core-oversubscription hazard once svc::SweepService's worker seats
+// stack on top of the per-evaluation fan-outs.  The pool replaces that
+// with one lazily-started set of worker threads that live for the
+// process:
 //
 //   * One Chase-Lev-style deque per worker (owner pushes/pops the
 //     bottom, thieves CAS the top) plus a mutex-guarded global injector
@@ -19,16 +21,18 @@
 //   * Idle workers park on a condition variable; an idle pool costs
 //     nothing but memory.
 //   * Fan-outs are *groups*: run_group(n, ...) pushes n-1 tickets and
-//     runs slots on the calling thread too.  Slots are fungible claim
-//     loops (the run_workers shape), so the caller never blocks while
-//     unclaimed slots remain — it claims them itself.  That makes
-//     nested submission deadlock-free by construction: a pool worker
-//     that fans out again executes its own group's slots inline if no
-//     sibling picks them up.
-//   * A slot that throws stops nothing by itself (the run_workers shim
-//     drains the shared claim queue, exactly as before); the first
-//     exception is captured and rethrown on the submitting thread after
-//     every started slot has finished.
+//     runs slots on the calling thread too.  Slots are fungible (usually
+//     claim loops over a shared atomic counter), so the caller never
+//     blocks while unclaimed slots remain — it claims them itself.
+//     That makes nested submission deadlock-free by construction: a pool
+//     worker that fans out again executes its own group's slots inline if
+//     no sibling picks them up.
+//   * A slot that throws stops nothing by itself: its siblings finish
+//     their claims (cancellation stays prompt because every claim loop
+//     checks the same util::CancellationToken), and the first exception
+//     is rethrown on the submitting thread after every started slot has
+//     finished.  A failed submission revokes the unstarted slots, waits
+//     out the started ones and rethrows.
 //   * Detached tasks (submit_detached) back svc::SweepService's worker
 //     seats, so service jobs and per-evaluation fan-outs share one
 //     thread budget instead of multiplying.

@@ -315,8 +315,8 @@ void TaskPool::run_group_erased(std::size_t slots, const char* label,
   } catch (...) {
     // Revoke every unstarted slot, wait out the ones already claimed
     // (their bodies may reference the caller's stack), drop the refs of
-    // the tickets that never made it into a queue, and rethrow — the
-    // spawn-failure contract run_workers always had.
+    // the tickets that never made it into a queue, and rethrow: a failed
+    // submission never strands a ticket or deadlocks.
     const std::size_t prev =
         g->next_slot.exchange(slots, std::memory_order_seq_cst);
     const std::size_t claimed = std::min(prev, slots);

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/flow.hpp"
 #include "pml/ml/scaler.hpp"
 #include "pml/ml/synthetic_datasets.hpp"
+#include "pml/svc/sweep_service.hpp"
 
 namespace pml::core {
 namespace {
@@ -170,8 +173,11 @@ TEST(FlowSelection, SweepFlowsCoversAndVerifiesEveryRecipe) {
   const CircuitWorkload wl = plumbing_workload(q);
   EvaluateOptions opts;
   opts.power_samples = 16;
-  const auto rows = sweep_flows(raw.module, raw.cycles_per_inference, lib,
-                                wl, opts);
+  svc::SweepService service(lib);
+  const auto rows = service.sweep_flows(
+      std::make_shared<const netlist::Module>(raw.module),
+      raw.cycles_per_inference, std::make_shared<const CircuitWorkload>(wl),
+      opts);
   ASSERT_EQ(rows.size(), 4u);  // none, area, energy, balanced
   for (const auto& row : rows) {
     EXPECT_EQ(row.hw.opt_flow, row.flow);

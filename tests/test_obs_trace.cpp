@@ -1,8 +1,8 @@
 // pml::obs tracer: spans record only while a tracer is installed, the
 // emitted Chrome trace JSON parses back with an independent parser
 // (tests/json_test_util.hpp) and carries the required event fields, spans
-// nest by time containment on one thread, and util::run_workers fan-outs
-// land on distinct, named thread tracks.
+// nest by time containment on one thread, and util::TaskPool::run_group
+// fan-outs land on distinct, named thread tracks.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "json_test_util.hpp"
 #include "pml/obs/json.hpp"
 #include "pml/obs/trace.hpp"
-#include "pml/util/parallel.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::obs {
 namespace {
@@ -82,20 +82,21 @@ TEST(ObsTrace, MidSpanInstallRecordsNothing) {
   EXPECT_TRUE(t.events().empty());
 }
 
-TEST(ObsTrace, RunWorkersSpansLandOnDistinctNamedTracks) {
+TEST(ObsTrace, RunGroupSpansLandOnDistinctNamedTracks) {
   constexpr std::size_t kThreads = 4;
   Tracer t;
   Tracer::install(&t);
   {
     PML_OBS_SPAN("fanout");
     std::atomic<std::size_t> queue{0};
-    util::run_workers(kThreads, queue, /*drain_to=*/0, [&](std::size_t ti) {
-      set_thread_name("test-worker-" + std::to_string(ti));
-      PML_OBS_SPAN("fanout.worker");
-      // Claim a little work so the span bounds a real loop.
-      while (queue.fetch_add(1) < 64) {
-      }
-    });
+    util::TaskPool::instance().run_group(
+        kThreads, "fanout.worker", [&](std::size_t ti) {
+          set_thread_name("test-worker-" + std::to_string(ti));
+          PML_OBS_SPAN("fanout.worker");
+          // Claim a little work so the span bounds a real loop.
+          while (queue.fetch_add(1) < 64) {
+          }
+        });
   }
   Tracer::uninstall();
 
@@ -104,8 +105,8 @@ TEST(ObsTrace, RunWorkersSpansLandOnDistinctNamedTracks) {
   for (const TraceEvent& e : evs) {
     if (e.name == "fanout.worker") worker_tids.insert(e.tid);
   }
-  // One span per worker, each on its own dense thread id — run_workers
-  // calls every worker body exactly once even on a single-core host.
+  // One span per worker, each on its own dense thread id — run_group
+  // calls every slot body exactly once even on a single-core host.
   EXPECT_EQ(worker_tids.size(), kThreads);
 
   // The thread-name table feeds "M" metadata events in the JSON.

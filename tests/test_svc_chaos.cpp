@@ -1,12 +1,13 @@
-// Deterministic fault-injection (chaos) suite for the hardened
-// svc::SweepService: every robustness mechanism — deadlines,
-// cancellation, admission control, bounded caching, retry, poisoned
-// workers, stop modes, destruct-while-waiting — proven without a single
-// real sleep.  Time is a util::ManualClock; worker scheduling is pinned
-// with an ordinal gate on the service's test hook; faults come from
-// chaos::FaultPlan.  Same-seed runs must produce identical status
-// sequences (asserted below), which is what makes this suite safe for
-// the ASan/TSan CI legs.
+// Deterministic fault-injection (chaos) suite for svc::SweepService:
+// every robustness mechanism — deadlines, cancellation, bounded caching,
+// transient-failure caching, stop modes, destruct-while-waiting — proven
+// without a single real sleep.  Time is a util::ManualClock; worker
+// scheduling is pinned with an ordinal gate on the service's test hook;
+// faults come from a chaos::FaultPlan fired from the same hook.
+// Same-seed runs must produce identical status sequences (asserted
+// below), which is what makes this suite safe for the ASan/TSan CI legs.
+// A last walk fails every allocation of a cold evaluation in turn and
+// proves the pooled EvalContext recovers from each.
 
 #include "pml/util/alloc_hook.hpp"
 
@@ -35,6 +36,7 @@ PML_INSTALL_COUNTING_ALLOC_HOOK;
 #include "pml/svc/sweep_service.hpp"
 #include "pml/util/cancellation.hpp"
 #include "pml/util/clock.hpp"
+#include "report_test_util.hpp"
 
 namespace pml::svc {
 namespace {
@@ -88,7 +90,7 @@ SweepRequest tiny_request(std::size_t variant = 0) {
 /// Deterministic scheduling lever: installed as the service test hook, it
 /// blocks the evaluating thread at held ordinals until released, and lets
 /// tests wait until a given ordinal has been *entered* (i.e. the worker
-/// has claimed the job and is parked inside the attempt).
+/// has claimed the job and is parked inside the evaluation).
 class OrdinalGate {
  public:
   std::function<void(std::uint64_t)> hook() {
@@ -130,43 +132,25 @@ class OrdinalGate {
   std::set<std::uint64_t> entered_;
 };
 
-// --- fault kinds, one by one ----------------------------------------------
-
-TEST(SvcChaos, InjectedThrowIsTransientAndRetried) {
-  const auto lib = cells::CellLibrary::egfet();
-  util::ManualClock clock;
-  SweepService::Options opts;
-  opts.clock = &clock;
-  opts.retry.max_attempts = 3;
-  opts.retry.backoff_ns = kMs;
-  SweepService service(lib, opts);
-  chaos::FaultPlan plan;
-  plan.throw_at(0);
-  service.install_chaos(&plan);
-
-  const core::HardwareReport rep = service.evaluate(tiny_request());
-  EXPECT_TRUE(rep.verified);
-  EXPECT_EQ(plan.fired(), 1u);
-  const SweepStats stats = service.stats();
-  EXPECT_EQ(stats.retried, 1u);
-  // Attempt 0 threw before reaching the evaluator; attempt 1 ran it.
-  EXPECT_EQ(stats.evaluated, 1u);
-  EXPECT_EQ(stats.errors, 0u);
-  // Exactly one backoff, of exactly the base duration, on virtual time.
-  EXPECT_EQ(clock.sleeps(), std::vector<std::uint64_t>{kMs});
+/// A service test hook that fires `plan` (borrowed, like `clock`).
+std::function<void(std::uint64_t)> fault_hook(const chaos::FaultPlan& plan,
+                                              util::Clock& clock) {
+  return [&plan, &clock](std::uint64_t ordinal) {
+    plan.before_evaluation(ordinal, clock);
+  };
 }
 
-TEST(SvcChaos, ExhaustedTransientFailsWithLabeledErrorAndIsNotCached) {
+// --- fault kinds, one by one ----------------------------------------------
+
+TEST(SvcChaos, InjectedThrowFailsWithLabeledErrorAndIsNotCached) {
   const auto lib = cells::CellLibrary::egfet();
   util::ManualClock clock;
   SweepService::Options opts;
   opts.clock = &clock;
-  opts.retry.max_attempts = 2;
-  opts.retry.backoff_ns = kMs;
   SweepService service(lib, opts);
   chaos::FaultPlan plan;
-  plan.throw_at(0).throw_at(1);  // both attempts of job #1
-  service.install_chaos(&plan);
+  plan.throw_at(0);  // job #1's evaluation
+  service.set_test_hook(fault_hook(plan, clock));
 
   const SweepTicket ticket = service.submit(tiny_request());
   try {
@@ -174,46 +158,50 @@ TEST(SvcChaos, ExhaustedTransientFailsWithLabeledErrorAndIsNotCached) {
     FAIL() << "expected JobError";
   } catch (const JobError& e) {
     const std::string what = e.what();
-    // Satellite (b): job id + 16-hex key digest + original message.
+    // Job id + 16-hex key digest + original message.
     EXPECT_NE(what.find("SweepService job #1"), std::string::npos) << what;
     EXPECT_NE(what.find("(key "), std::string::npos) << what;
     EXPECT_NE(what.find("chaos: injected transient failure"),
               std::string::npos)
         << what;
   }
+  EXPECT_EQ(plan.fired(), 1u);
   SweepStats stats = service.stats();
   EXPECT_EQ(stats.errors, 1u);
-  EXPECT_EQ(stats.retried, 1u);
-  // An exhausted-transient outcome must NOT stick in the cache: the same
-  // request re-runs (ordinal 2 is clean) and succeeds.
+  // The hook threw before reaching the evaluator.
+  EXPECT_EQ(stats.evaluated, 0u);
+  // A transient outcome must NOT stick in the cache: the same request
+  // re-runs (ordinal 1 is clean) and succeeds.
   EXPECT_EQ(stats.cache_entries, 0u);
   const core::HardwareReport rep = service.evaluate(tiny_request());
   EXPECT_TRUE(rep.verified);
   stats = service.stats();
-  EXPECT_EQ(stats.cache_misses, 2u);  // the retry was a fresh job
+  EXPECT_EQ(stats.cache_misses, 2u);  // the resubmit was a fresh job
   EXPECT_EQ(stats.cache_entries, 1u);
 }
 
-TEST(SvcChaos, AllocationFailureInsideEvaluationRetries) {
+TEST(SvcChaos, AllocationFailureInsideEvaluationIsNotCached) {
   const auto lib = cells::CellLibrary::egfet();
   util::ManualClock clock;
   SweepService::Options opts;
   opts.clock = &clock;
-  opts.retry.max_attempts = 2;
-  opts.retry.backoff_ns = kMs;
   SweepService service(lib, opts);
   chaos::FaultPlan plan;
-  // The 50th allocation of attempt 0 throws std::bad_alloc (a cold
-  // evaluation allocates far more than that); attempt 1 runs clean.
+  // The 50th allocation of evaluation 0 throws std::bad_alloc (a cold
+  // evaluation allocates far more than that); evaluation 1 runs clean.
   plan.fail_alloc_at(0, 50);
-  service.install_chaos(&plan);
+  service.set_test_hook(fault_hook(plan, clock));
 
-  const core::HardwareReport rep = service.evaluate(tiny_request());
-  EXPECT_TRUE(rep.verified);
-  const SweepStats stats = service.stats();
-  EXPECT_EQ(stats.retried, 1u);
-  EXPECT_EQ(stats.evaluated, 2u);  // both attempts reached the evaluator
-  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(service.wait_outcome(service.submit(tiny_request())).status,
+            JobStatus::kFailed);
+  SweepStats stats = service.stats();
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+  // The resubmit re-evaluates on the same worker context and succeeds.
+  EXPECT_TRUE(service.evaluate(tiny_request()).verified);
+  stats = service.stats();
+  EXPECT_EQ(stats.evaluated, 2u);  // both evaluations reached the evaluator
+  EXPECT_EQ(stats.errors, 1u);
 }
 
 TEST(SvcChaos, DelayFaultExpiresDeadlineOnVirtualTime) {
@@ -224,7 +212,7 @@ TEST(SvcChaos, DelayFaultExpiresDeadlineOnVirtualTime) {
   SweepService service(lib, opts);
   chaos::FaultPlan plan;
   plan.delay_at(0, 10 * kMs);  // a 10 ms straggler, in zero real time
-  service.install_chaos(&plan);
+  service.set_test_hook(fault_hook(plan, clock));
 
   SweepRequest req = tiny_request();
   req.deadline_ns = 5 * kMs;
@@ -240,39 +228,6 @@ TEST(SvcChaos, DelayFaultExpiresDeadlineOnVirtualTime) {
   EXPECT_EQ(stats.cache_entries, 0u);
 }
 
-TEST(SvcChaos, PoisonedWorkerRequeuesJobAndPoolRespawns) {
-  const auto lib = cells::CellLibrary::egfet();
-  SweepService service(lib);  // single worker: poison kills the whole pool
-  chaos::FaultPlan plan;
-  plan.poison_at(0);
-  service.install_chaos(&plan);
-
-  const core::HardwareReport rep = service.evaluate(tiny_request());
-  EXPECT_TRUE(rep.verified);
-  const SweepStats stats = service.stats();
-  EXPECT_EQ(stats.workers_respawned, 1u);
-  EXPECT_EQ(stats.errors, 0u);
-  // A second job on the respawned pool works too.
-  EXPECT_TRUE(service.evaluate(tiny_request(1)).verified);
-}
-
-TEST(SvcChaos, PoisonWithSurvivingWorkersDegradesGracefully) {
-  const auto lib = cells::CellLibrary::egfet();
-  SweepService::Options opts;
-  opts.num_workers = 2;
-  SweepService service(lib, opts);
-  chaos::FaultPlan plan;
-  plan.poison_at(0);
-  service.install_chaos(&plan);
-
-  // Whichever worker claims the job is poisoned and retires; the
-  // survivor claims the requeued job and completes it — no respawn
-  // needed while any worker lives.
-  EXPECT_TRUE(service.evaluate(tiny_request()).verified);
-  EXPECT_TRUE(service.evaluate(tiny_request(1)).verified);
-  EXPECT_EQ(service.stats().errors, 0u);
-}
-
 // --- deadlines & cancellation ---------------------------------------------
 
 TEST(SvcChaos, QueuedJobTimesOutWithoutSpendingAnEvaluation) {
@@ -283,10 +238,13 @@ TEST(SvcChaos, QueuedJobTimesOutWithoutSpendingAnEvaluation) {
   SweepService service(lib, opts);
   OrdinalGate gate;
   gate.hold(0);
-  service.set_test_hook(gate.hook());
   chaos::FaultPlan plan;
   plan.delay_at(0, 10 * kMs);  // job A straggles past B's deadline
-  service.install_chaos(&plan);
+  service.set_test_hook(
+      [held = gate.hook(), fault = fault_hook(plan, clock)](std::uint64_t o) {
+        held(o);
+        fault(o);
+      });
 
   const SweepTicket a = service.submit(tiny_request(0));
   SweepRequest req_b = tiny_request(1);
@@ -297,7 +255,7 @@ TEST(SvcChaos, QueuedJobTimesOutWithoutSpendingAnEvaluation) {
   EXPECT_TRUE(service.wait(a).verified);
   EXPECT_EQ(service.wait_outcome(b).status, JobStatus::kTimeout);
   const SweepStats stats = service.stats();
-  // B was resolved at claim time — only A's attempt ran the evaluator.
+  // B was resolved at claim time — only A ran the evaluator.
   EXPECT_EQ(stats.evaluated, 1u);
   EXPECT_EQ(stats.timeouts, 1u);
 }
@@ -312,7 +270,7 @@ TEST(SvcChaos, DeadlineBoundaryIsExactOnManualClock) {
   service.set_test_hook(gate.hook());
 
   // Advancing virtual time to exactly the deadline while the job is
-  // mid-attempt trips the first phase checkpoint.
+  // mid-evaluation trips the first phase checkpoint.
   gate.hold(0);
   SweepRequest req_a = tiny_request(0);
   req_a.deadline_ns = 5 * kMs;
@@ -364,7 +322,7 @@ TEST(SvcChaos, CancelRunningJobStopsAtNextCheckpoint) {
   service.set_test_hook(gate.hook());
 
   const SweepTicket a = service.submit(tiny_request());
-  gate.wait_entered(0);  // attempt in flight (parked in the hook)
+  gate.wait_entered(0);  // evaluation in flight (parked in the hook)
   EXPECT_TRUE(service.cancel(a));
   gate.release(0);  // evaluation proceeds into the first checkpoint
   try {
@@ -375,90 +333,6 @@ TEST(SvcChaos, CancelRunningJobStopsAtNextCheckpoint) {
               std::string::npos);
   }
   EXPECT_EQ(service.stats().cancelled, 1u);
-}
-
-// --- admission control -----------------------------------------------------
-
-TEST(SvcChaos, ShedAdmissionFailsFastWithPreResolvedTicket) {
-  const auto lib = cells::CellLibrary::egfet();
-  SweepService::Options opts;
-  opts.max_queue_depth = 1;
-  opts.admission = AdmissionPolicy::kShed;
-  SweepService service(lib, opts);
-  OrdinalGate gate;
-  gate.hold(0);
-  service.set_test_hook(gate.hook());
-
-  const SweepTicket a = service.submit(tiny_request(0));
-  gate.wait_entered(0);                              // A running (held)
-  const SweepTicket b = service.submit(tiny_request(1));  // fills the queue
-  const SweepTicket c = service.submit(tiny_request(2));  // shed
-  EXPECT_EQ(c.admitted, JobStatus::kShed);
-  EXPECT_EQ(c.handle, nullptr);
-  const SweepOutcome out = service.wait_outcome(c);  // resolves instantly
-  EXPECT_EQ(out.status, JobStatus::kShed);
-  EXPECT_THROW((void)service.wait(c), JobShed);
-  EXPECT_FALSE(service.cancel(c));
-
-  gate.release_all();
-  EXPECT_TRUE(service.wait(a).verified);
-  EXPECT_TRUE(service.wait(b).verified);
-  const SweepStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.evaluated, 2u);  // the shed request never ran
-  EXPECT_EQ(stats.submitted, 3u);
-}
-
-TEST(SvcChaos, BlockAdmissionWaitsForSpace) {
-  const auto lib = cells::CellLibrary::egfet();
-  SweepService::Options opts;
-  opts.max_queue_depth = 1;
-  opts.admission = AdmissionPolicy::kBlock;
-  SweepService service(lib, opts);
-  OrdinalGate gate;
-  gate.hold(0);
-  service.set_test_hook(gate.hook());
-
-  const SweepTicket a = service.submit(tiny_request(0));
-  gate.wait_entered(0);
-  const SweepTicket b = service.submit(tiny_request(1));
-  // C must block until A finishes and the worker drains B's slot.
-  SweepTicket c;
-  std::thread submitter([&] { c = service.submit(tiny_request(2)); });
-  gate.release_all();
-  submitter.join();
-  EXPECT_TRUE(service.wait(a).verified);
-  EXPECT_TRUE(service.wait(b).verified);
-  EXPECT_TRUE(service.wait(c).verified);
-  const SweepStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.evaluated, 3u);
-}
-
-TEST(SvcChaos, CallerRunsAdmissionEvaluatesOnSubmittingThread) {
-  const auto lib = cells::CellLibrary::egfet();
-  SweepService::Options opts;
-  opts.max_queue_depth = 1;
-  opts.admission = AdmissionPolicy::kCallerRuns;
-  SweepService service(lib, opts);
-  OrdinalGate gate;
-  gate.hold(0);
-  service.set_test_hook(gate.hook());
-
-  const SweepTicket a = service.submit(tiny_request(0));
-  gate.wait_entered(0);
-  const SweepTicket b = service.submit(tiny_request(1));
-  // The queue is full and the worker is held hostage, yet C resolves:
-  // this thread ran it.
-  const SweepTicket c = service.submit(tiny_request(2));
-  const SweepOutcome out = service.wait_outcome(c);
-  EXPECT_EQ(out.status, JobStatus::kOk);
-  EXPECT_TRUE(out.report.verified);
-  EXPECT_EQ(service.stats().caller_runs, 1u);
-
-  gate.release_all();
-  EXPECT_TRUE(service.wait(a).verified);
-  EXPECT_TRUE(service.wait(b).verified);
 }
 
 // --- bounded cache ---------------------------------------------------------
@@ -589,20 +463,18 @@ TEST(SvcChaos, DestructWhileWaitingIsSafe) {
 // --- determinism -----------------------------------------------------------
 
 /// One full chaotic run: N distinct jobs through a single-worker service
-/// under a seeded random fault plan, virtual clock, and retry policy.
-/// Returns the status sequence in submission order.
+/// under a seeded random fault plan and a virtual clock.  Returns the
+/// status sequence in submission order.
 std::vector<JobStatus> chaotic_run(std::uint64_t seed) {
   const auto lib = cells::CellLibrary::egfet();
   util::ManualClock clock;
   SweepService::Options opts;
   opts.clock = &clock;
-  opts.retry.max_attempts = 2;
-  opts.retry.backoff_ns = kMs;
   SweepService service(lib, opts);
   const chaos::FaultPlan plan =
       chaos::FaultPlan::random(seed, /*evaluations=*/12, /*fault_rate=*/0.5,
                                /*delay_ns=*/2 * kMs);
-  service.install_chaos(&plan);
+  service.set_test_hook(fault_hook(plan, clock));
 
   constexpr std::size_t kJobs = 6;
   std::vector<SweepTicket> tickets;
@@ -629,31 +501,53 @@ TEST(SvcChaos, SameSeedRunsProduceIdenticalStatusSequences) {
 
 // --- direct evaluation-core injection --------------------------------------
 
-TEST(SvcChaos, PhaseHookThrowLeavesContextReusable) {
+TEST(SvcChaos, AllocationFailureAnywhereLeavesContextReusable) {
+  // Fail the nth allocation of a cold evaluation for n = 1, 2, ... until
+  // one runs clean.  After every abort, the same (half-torn) context must
+  // produce the report a fresh context does.  Single-threaded verify and
+  // power keep every allocation on this thread, where the armed
+  // countdown lives.
   const auto lib = cells::CellLibrary::egfet();
   const SweepRequest req = tiny_request();
-  core::EvalContext ctx;
-  core::HardwareReport rep;
   core::EvaluateOptions opts = req.options;
-
-  int throws_left = 1;
-  ctx.chaos_phase_hook = [&](const char* phase) {
-    if (std::string(phase) == "evaluate.sta" && throws_left > 0) {
-      --throws_left;
-      throw chaos::InjectedFault("chaos: mid-phase failure at sta");
-    }
+  opts.verify.num_threads = 1;
+  opts.power_threads = 1;
+  const auto evaluate = [&](core::EvalContext& ctx, core::HardwareReport& rep) {
+    core::evaluate_circuit_into(ctx, rep, *req.module,
+                                req.cycles_per_inference, lib, *req.workload,
+                                opts);
   };
-  EXPECT_THROW(
-      core::evaluate_circuit_into(ctx, rep, *req.module,
-                                  req.cycles_per_inference, lib,
-                                  *req.workload, opts),
-      chaos::InjectedFault);
-  // The pooled context must recover: the very next evaluation on the
-  // same (half-torn) context succeeds and verifies.
-  ctx.chaos_phase_hook = nullptr;
-  core::evaluate_circuit_into(ctx, rep, *req.module, req.cycles_per_inference,
-                              lib, *req.workload, opts);
-  EXPECT_TRUE(rep.verified);
+  core::HardwareReport reference;
+  {
+    core::EvalContext fresh;
+    evaluate(fresh, reference);
+  }
+  ASSERT_TRUE(reference.verified);
+
+  bool saw_failure = false;
+  bool saw_success = false;
+  for (std::uint64_t nth = 1; !saw_success; ++nth) {
+    core::EvalContext ctx;  // cold: every pool allocates on first use
+    core::HardwareReport rep;
+    util::arm_alloc_failure(nth);
+    try {
+      evaluate(ctx, rep);
+      util::disarm_alloc_failure();
+      saw_success = true;
+    } catch (const std::bad_alloc&) {
+      util::disarm_alloc_failure();
+      saw_failure = true;
+      evaluate(ctx, rep);
+    }
+    testutil::expect_reports_equal(rep, reference);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "context did not recover after allocation " << nth;
+      break;
+    }
+  }
+  // The walk must have exercised both outcomes.
+  EXPECT_TRUE(saw_failure);
+  EXPECT_TRUE(saw_success);
 }
 
 TEST(SvcChaos, CancellationTokenAbortsEvaluateAndFaultCampaign) {

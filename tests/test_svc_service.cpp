@@ -1,6 +1,6 @@
 // Job-queue behavior of svc::SweepService: async submit/wait, in-flight
-// dedup, error caching, the sweep_flows driver's equivalence with
-// core::sweep_flows, and the stats surface.
+// dedup, error caching, the sweep_flows driver's equivalence with direct
+// evaluate_circuit calls, and the stats surface.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,10 @@
 #include <vector>
 
 #include "pml/arch/sequential_svm.hpp"
-#include "pml/core/flow.hpp"
+#include "pml/core/evaluate.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/svc/sweep_service.hpp"
+#include "report_test_util.hpp"
 
 namespace pml::svc {
 namespace {
@@ -127,30 +128,27 @@ TEST(SvcService, NullRequestRejected) {
                std::invalid_argument);
 }
 
-TEST(SvcService, SweepFlowsMatchesCoreSweep) {
+TEST(SvcService, SweepFlowsMatchesDirectEvaluation) {
   const auto lib = cells::CellLibrary::egfet();
   const auto req = tiny_request();
   const std::vector<std::string> flows = {"none", "area", "energy"};
   core::EvaluateOptions base;
 
-  const auto core_rows = core::sweep_flows(
-      *req.module, req.cycles_per_inference, lib, *req.workload, base, flows);
-
   SweepService service(lib);
   const auto svc_rows = service.sweep_flows(
       req.module, req.cycles_per_inference, req.workload, base, flows);
 
-  ASSERT_EQ(svc_rows.size(), core_rows.size());
-  for (std::size_t i = 0; i < core_rows.size(); ++i) {
-    EXPECT_EQ(svc_rows[i].flow, core_rows[i].flow);
-    EXPECT_EQ(svc_rows[i].hw.opt_flow, core_rows[i].hw.opt_flow);
-    EXPECT_EQ(svc_rows[i].hw.num_cells, core_rows[i].hw.num_cells);
-    EXPECT_EQ(svc_rows[i].hw.energy_mj, core_rows[i].hw.energy_mj);
-    EXPECT_EQ(svc_rows[i].hw.area_cm2, core_rows[i].hw.area_cm2);
-    EXPECT_EQ(svc_rows[i].hw.functional_transitions,
-              core_rows[i].hw.functional_transitions);
-    EXPECT_EQ(svc_rows[i].hw.glitch_transitions,
-              core_rows[i].hw.glitch_transitions);
+  // Each row is exactly evaluate_circuit with the optimizer forced on
+  // under that row's recipe.
+  ASSERT_EQ(svc_rows.size(), flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(svc_rows[i].flow, flows[i]);
+    core::EvaluateOptions opts = base;
+    opts.optimize.enabled = true;
+    opts.optimize.flow = flows[i];
+    const core::HardwareReport direct = core::evaluate_circuit(
+        *req.module, req.cycles_per_inference, lib, *req.workload, opts);
+    testutil::expect_reports_equal(svc_rows[i].hw, direct);
   }
 
   // A warm re-sweep is answered entirely from the cache.

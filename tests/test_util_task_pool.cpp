@@ -1,16 +1,22 @@
 // Direct coverage of util::TaskPool — the process-wide work-stealing
-// pool behind every evaluation fan-out (run_workers shim), the sweep
-// service's worker seats (submit_detached), and the precision search.
-// The properties proven here are the ones the rest of the stack leans
-// on: every group slot runs exactly once, slot-indexed merges are
-// bit-identical regardless of which worker steals what, nested groups
-// never deadlock (the submitting thread claims unclaimed slots itself),
-// a throwing slot quiesces the group before rethrowing, cancellation
-// checkpoints propagate through the shim, detached tasks queued before
+// pool behind every evaluation fan-out (run_group), the sweep service's
+// worker seats (submit_detached), and the precision search.  The
+// properties proven here are the ones the rest of the stack leans on:
+// a single slot runs inline, every group slot runs exactly once,
+// slot-indexed merges are bit-identical regardless of which worker
+// steals what, nested groups never deadlock (the submitting thread
+// claims unclaimed slots itself), a throwing slot quiesces the group
+// before rethrowing, cancellation checkpoints stop every sibling, a
+// failed submission (std::bad_alloc from the chaos allocation hook)
+// never strands a ticket or deadlocks, detached tasks queued before
 // stop() still run, and a stopped pool restarts lazily.
 //
 // Runs under ThreadSanitizer in CI — the deque protocol is all-atomic
 // precisely so these tests prove it race-free, not just lucky.
+
+#include "pml/util/alloc_hook.hpp"
+
+PML_INSTALL_COUNTING_ALLOC_HOOK;
 
 #include <gtest/gtest.h>
 
@@ -18,11 +24,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
 #include "pml/util/cancellation.hpp"
-#include "pml/util/parallel.hpp"
 #include "pml/util/task_pool.hpp"
 
 namespace pml::util {
@@ -35,6 +41,18 @@ TEST(TaskPool, SingletonIsStableAndAtLeastTwoWide) {
   // The floor of two guarantees progress when one task parks on a test
   // gate (the chaos/robustness harnesses rely on this).
   EXPECT_GE(a.size(), 2u);
+}
+
+TEST(TaskPool, SingleSlotRunsInlineOnCaller) {
+  const std::uint64_t started = TaskPool::instance().threads_started();
+  std::size_t claimed = 0;
+  TaskPool::instance().run_group(1, "test.inline", [&](std::size_t slot) {
+    EXPECT_EQ(slot, 0u);
+    claimed += 8;  // no synchronization needed: inline = this thread
+  });
+  EXPECT_EQ(claimed, 8u);
+  // Inline means no pool touch: no worker thread was started for it.
+  EXPECT_EQ(TaskPool::instance().threads_started(), started);
 }
 
 TEST(TaskPool, GroupRunsEverySlotExactlyOnce) {
@@ -50,7 +68,7 @@ TEST(TaskPool, GroupRunsEverySlotExactlyOnce) {
 }
 
 TEST(TaskPool, SlotMergeIsDeterministicUnderStealing) {
-  // The run_workers shape: workers claim items from a shared counter and
+  // The batch-loop shape: workers claim items from a shared counter and
   // write results by item index.  Which worker computes which item (and
   // who steals whose ticket) varies run to run; the merged vector must
   // not.  f(i) is arbitrary but order-sensitive enough to catch an
@@ -108,16 +126,26 @@ TEST(TaskPool, ThrowingSlotQuiescesGroupThenRethrows) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "slot 2 exploded");
   }
-  // A group throw cancels nothing by itself (drain policy belongs to the
-  // run_workers shim): every non-throwing slot still ran, and all of
-  // them finished before the rethrow.
+  // A group throw cancels nothing by itself: every non-throwing slot
+  // still ran, and all of them finished before the rethrow.
   EXPECT_EQ(finished.load(), slots - 1);
 }
 
-TEST(TaskPool, CancellationCheckpointStopsSiblingsThroughShim) {
+TEST(TaskPool, FirstOfConcurrentExceptionsWins) {
+  // Every slot throws; exactly one exception (the first recorded) must
+  // surface, the rest are swallowed once the group quiesces.
+  EXPECT_THROW(TaskPool::instance().run_group(4, "test.throw.all",
+                                              [](std::size_t) {
+                                                throw std::runtime_error(
+                                                    "boom");
+                                              }),
+               std::runtime_error);
+}
+
+TEST(TaskPool, CancellationCheckpointStopsSiblings) {
   // The evaluation stack's cancellation contract: a worker that trips a
-  // checkpoint throws util::Cancelled; run_workers drains the claim
-  // queue so siblings stop claiming, and the Cancelled surfaces to the
+  // checkpoint throws util::Cancelled; its siblings check the same token
+  // at their next claim and stop too, and the Cancelled surfaces to the
   // caller intact (reason and all).
   constexpr std::size_t kItems = 100'000;
   std::atomic<bool> cancel{false};
@@ -125,23 +153,67 @@ TEST(TaskPool, CancellationCheckpointStopsSiblingsThroughShim) {
   std::atomic<std::size_t> queue{0};
   std::atomic<std::size_t> claimed{0};
   try {
-    run_workers(
-        4, queue, kItems,
-        [&](std::size_t) {
-          for (;;) {
-            const std::size_t i = queue.fetch_add(1);
-            if (i >= kItems) return;
-            if (i == 10) cancel.store(true);  // some worker trips the flag
-            token.check("test.checkpoint");
-            claimed.fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        "test.cancel");
+    TaskPool::instance().run_group(4, "test.cancel", [&](std::size_t) {
+      for (;;) {
+        const std::size_t i = queue.fetch_add(1);
+        if (i >= kItems) return;
+        if (i == 10) cancel.store(true);  // some worker trips the flag
+        token.check("test.checkpoint");
+        claimed.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
     FAIL() << "expected util::Cancelled to propagate";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.reason(), Cancelled::Reason::kCancelled);
   }
   EXPECT_LT(claimed.load(), kItems);
+}
+
+TEST(TaskPool, SubmissionFailureNeverStrandsOrDeadlocks) {
+  // Arm the nth allocation on THIS thread (the armed countdown is
+  // thread-local, so worker-thread allocations are unaffected) and walk n
+  // across a cold group submission: the group record, the worker-thread
+  // spawns (the pool is stopped first, so the group restarts it) and the
+  // ticket pushes.  Early n fail the submission, which revokes the
+  // unstarted slots, waits out the started ones and rethrows; later n
+  // never fire.  Every case must end with no ticket stranded and no
+  // deadlock.
+  TaskPool& pool = TaskPool::instance();
+  bool saw_failure = false;
+  bool saw_success = false;
+  const auto claim_all = [](std::atomic<std::size_t>& queue,
+                            std::atomic<std::size_t>& claimed) {
+    return [&queue, &claimed](std::size_t) {
+      for (;;) {
+        if (queue.fetch_add(1) >= 32) return;
+        claimed.fetch_add(1);
+      }
+    };
+  };
+  for (std::uint64_t nth = 1; nth <= 24; ++nth) {
+    pool.stop();
+    std::atomic<std::size_t> queue{0};
+    std::atomic<std::size_t> claimed{0};
+    arm_alloc_failure(nth);
+    try {
+      pool.run_group(4, "test.spawn", claim_all(queue, claimed));
+      disarm_alloc_failure();
+      saw_success = true;
+      EXPECT_EQ(claimed.load(), 32u);
+    } catch (const std::bad_alloc&) {
+      disarm_alloc_failure();
+      saw_failure = true;
+    }
+    // Whatever happened, a fresh group works.
+    std::atomic<std::size_t> queue2{0};
+    std::atomic<std::size_t> claimed2{0};
+    pool.run_group(4, "test.spawn", claim_all(queue2, claimed2));
+    EXPECT_EQ(claimed2.load(), 32u);
+  }
+  // The walk must have exercised both outcomes, or the loop bound needs
+  // raising — fail loudly rather than silently losing coverage.
+  EXPECT_TRUE(saw_failure);
+  EXPECT_TRUE(saw_success);
 }
 
 TEST(TaskPool, DetachedTasksQueuedBeforeStopStillRun) {
