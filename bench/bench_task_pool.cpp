@@ -14,10 +14,11 @@
 //      fan-out.  Gated: pool.fanout_speedup_vs_spawn (the ratio;
 //      the bench itself also enforces the >= 5x acceptance bar).  The
 //      raw per-fan-out microseconds ride along as info.
-//   2. *Stealing* — an outer group saturates the pool, one slot fans out
-//      again (nested submission), and its siblings — already done with
-//      their own slots — must steal the nested tickets: the pool.steals
-//      counter delta must be positive (pool.steal_ok).
+//   2. *Nested sharing* — an outer group saturates the pool, one slot
+//      fans out again (nested submission), and its siblings — already
+//      done with their own slots — must take the nested tickets off the
+//      shared queue: the pool.steals counter (slots claimed through a
+//      queued ticket) must move (pool.steal_ok).
 //   3. *Warm steady state* — a sweep of distinct jobs through a
 //      2-worker svc::SweepService on the warm pool must complete with
 //      TaskPool::threads_started() unmoved (pool.no_spawn_steady_ok);
@@ -96,15 +97,15 @@ double time_fanouts(int iters, std::uint64_t& checksum, Fanout&& fanout) {
   return watch.seconds() * 1e6 / iters;
 }
 
-// --- leg 2: stealing --------------------------------------------------------
+// --- leg 2: nested sharing --------------------------------------------------
 
 bool leg_steals(std::uint64_t& steals) {
   util::TaskPool& pool = util::TaskPool::instance();
-  // Stealing is scheduling-dependent, so the probe retries: each round
-  // saturates the pool with an outer group whose slot 0 fans out again
-  // with slow inner slots while its siblings finish instantly — the
-  // siblings' only source of work is the nested tickets sitting in the
-  // slot-0 worker's deque.
+  // Which thread claims which slot is scheduling-dependent, so the probe
+  // retries: each round saturates the pool with an outer group whose
+  // slot 0 fans out again with slow inner slots while its siblings finish
+  // instantly — the siblings' only source of work is then the nested
+  // tickets slot 0 queued.
   for (int attempt = 0; attempt < 5; ++attempt) {
     const obs::MetricsSnapshot before = obs::snapshot_metrics();
     std::atomic<std::uint64_t> spins{0};

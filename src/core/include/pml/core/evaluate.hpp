@@ -32,11 +32,6 @@ struct EvaluateOptions {
   std::size_t power_samples = 120;
   /// Worker threads for the power replay; 0 = one per hardware thread.
   std::size_t power_threads = 0;
-  /// Contiguous samples per batch-event lane-stream (see
-  /// ActivityOptions::chunk_samples; 0 = auto-size from the sample count).
-  /// The merged activity is deterministic in this value and the sample
-  /// count alone — never in the thread configuration.
-  std::size_t power_chunk_samples = 0;
   /// Event-simulator tick (ms); smaller = finer glitch resolution.
   double time_quantum_ms = 0.02;
   /// Throw on any circuit-vs-model mismatch (always keep on; exposed for

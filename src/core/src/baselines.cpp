@@ -1,5 +1,6 @@
 #include "pml/core/baselines.hpp"
 
+#include "pml/core/flow.hpp"
 #include "pml/ml/metrics.hpp"
 #include "pml/ml/mlp.hpp"
 #include "pml/ml/multiclass.hpp"
@@ -36,16 +37,9 @@ ParallelSvmBaseline build_parallel_svm_baseline(
   }
   out.circuit = arch::build_parallel_svm(out.quantized);
 
-  CircuitWorkload wl;
-  wl.feature_codes.reserve(test.size());
-  wl.expected_class.reserve(test.size());
-  for (const auto& x : test.X) {
-    auto codes = quant::quantize_features(x, out.quantized.input_format);
-    wl.expected_class.push_back(out.quantized.predict_codes(codes));
-    wl.feature_codes.push_back(std::move(codes));
-  }
   out.hw = evaluate_circuit(out.circuit.module,
-                            out.circuit.cycles_per_inference, lib, wl,
+                            out.circuit.cycles_per_inference, lib,
+                            make_svm_workload(out.quantized, test),
                             options.evaluate);
   out.hw.dataset = train.name;
   out.hw.model = options.approx_csd_digits >= 0 ? "SVM [3]" : "SVM [2]";

@@ -204,7 +204,6 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
       std::min(options.power_samples, workload.feature_codes.size());
   ActivityOptions aopts;
   aopts.num_threads = options.power_threads;
-  aopts.chunk_samples = options.power_chunk_samples;
   aopts.time_quantum_ms = options.time_quantum_ms;
   aopts.levelization = lv;
   aopts.context = &ctx;

@@ -93,11 +93,11 @@ Table1Result run_table1(const cells::CellLibrary& lib,
 
     // The designs are independent, so they build as one pool group, each
     // slot filling its own result; Ours is slot 0, so the longest design
-    // starts first and the others' workers steal its nested training and
-    // replay fan-outs as they finish.  SVM [2] and SVM [3] train the same
-    // OvO model, so one slot trains it once and builds both circuits from
-    // it.  Results are read back below in a fixed order, so rows and
-    // summary do not depend on scheduling.
+    // starts first and the others' workers pick up the queued tickets of
+    // its nested training and replay fan-outs as they finish.  SVM [2] and
+    // SVM [3] train the same OvO model, so one slot trains it once and
+    // builds both circuits from it.  Results are read back below in a
+    // fixed order, so rows and summary do not depend on scheduling.
     std::optional<SequentialSvmDesign> ours;
     std::optional<ParallelSvmBaseline> b2, b3;
     std::optional<MlpBaseline> b4;

@@ -79,29 +79,15 @@ struct Pass {
   PassDelta (*run)(netlist::Module&) = nullptr;
 };
 
-/// The default ("area") pipeline, in application order.
-[[nodiscard]] std::vector<Pass> default_passes();
-
 struct OptOptions {
-  /// Master switch: false makes optimize()/Optimizer::run a no-op (used
-  /// by the optimizer-off legs of benches and the equivalence tests).
+  /// Master switch: false makes optimize() a no-op (used by the
+  /// optimizer-off legs of benches and the equivalence tests).
   bool enabled = true;
-  /// Fixpoint guard: maximum sweeps over the whole pipeline.  Real
-  /// circuits converge in 2-4 sweeps; the cap only bounds pathology.
-  int max_iterations = 16;
-  /// Validate the module after every pass application (debug builds
-  /// assert with the pass name; every build gets one final validate whose
-  /// failure throws).
-  bool check_invariants = true;
   /// Flow recipe applied by optimize(): a name from
   /// opt::standard_flows() ("area", "energy", "balanced", "none") or
   /// "best" to score every standard recipe with the cost model and keep
   /// the cheapest result.  Unknown names throw std::invalid_argument.
   std::string flow = "area";
-  /// Cost-driven recipes reject a pass application whose measured cost
-  /// exceeds the pre-pass cost by more than this relative tolerance
-  /// (0 = any worsening is rejected).
-  double cost_tolerance = 0.0;
 };
 
 /// Observability record for one pass across a whole PassManager run:
@@ -172,26 +158,6 @@ struct OptReport {
   /// Per-pass totals aggregated over all fixpoint sweeps, in first-seen
   /// pass order (the per-pass cell/DFF delta summary).
   [[nodiscard]] std::vector<PassDelta> totals_by_pass() const;
-};
-
-/// A pass pipeline iterated to fixpoint.  Thin compatibility wrapper over
-/// opt::PassManager (pass_manager.hpp) for callers that hold a bare pass
-/// vector; new code should name a flow recipe instead.
-class Optimizer {
- public:
-  explicit Optimizer(OptOptions options = {});
-  Optimizer(OptOptions options, std::vector<Pass> passes);
-
-  /// Optimize `m` in place (no-op when options.enabled is false).  Throws
-  /// std::runtime_error if the final module fails netlist validation —
-  /// which would mean a pass bug, never a property of the input.
-  OptReport run(netlist::Module& m) const;
-
-  [[nodiscard]] const std::vector<Pass>& passes() const { return passes_; }
-
- private:
-  OptOptions options_;
-  std::vector<Pass> passes_;
 };
 
 class CostModel;  // cost_model.hpp

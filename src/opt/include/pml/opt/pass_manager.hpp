@@ -81,17 +81,16 @@ class PassManager {
   /// std::invalid_argument on an unknown pass name).
   explicit PassManager(FlowRecipe recipe, OptOptions options = {},
                        const CostModel* cost_model = nullptr);
-  /// Pre-resolved pass list (Optimizer's custom-pipeline path).
-  PassManager(std::string name, std::vector<Pass> passes, OptOptions options,
-              const CostModel* cost_model, bool cost_driven);
 
   /// Optimize `m` in place.  With a cost-driven recipe and a cost model,
   /// each pass runs on a pooled scratch copy and is committed (by swap)
-  /// only when the measured cost does not worsen beyond
-  /// options.cost_tolerance; rejected applications are recorded in
-  /// OptReport::rejected.  Deterministic in the module and the cost model
-  /// alone.  NOT thread-safe: concurrent run() calls on one PassManager
-  /// share the scratch module — use one manager per thread.
+  /// only when the measured cost does not worsen; rejected applications
+  /// are recorded in OptReport::rejected.  The recipe is iterated to a
+  /// fixpoint (at most 16 sweeps; real circuits converge in 2-4), and the
+  /// final module is validated (throws std::runtime_error on a pass bug).
+  /// Deterministic in the module and the cost model alone.  NOT
+  /// thread-safe: concurrent run() calls on one PassManager share the
+  /// scratch module — use one manager per thread.
   OptReport run(netlist::Module& m) const;
 
   /// Run every recipe in `flows` on a copy of `m`, score each result
@@ -103,7 +102,6 @@ class PassManager {
                             const OptOptions& options = {});
 
   [[nodiscard]] const FlowRecipe& recipe() const { return recipe_; }
-  [[nodiscard]] const std::vector<Pass>& passes() const { return passes_; }
 
  private:
   FlowRecipe recipe_;

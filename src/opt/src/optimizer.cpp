@@ -1,19 +1,9 @@
 #include "pml/opt/optimizer.hpp"
 
-#include <utility>
-
 #include "pml/opt/cost_model.hpp"
 #include "pml/opt/pass_manager.hpp"
 
 namespace pml::opt {
-
-std::vector<Pass> default_passes() {
-  std::vector<Pass> passes;
-  for (const std::string& name : flow_recipe("area").passes) {
-    passes.push_back(find_pass(name));
-  }
-  return passes;
-}
 
 std::vector<PassDelta> OptReport::totals_by_pass() const {
   std::vector<PassDelta> totals;
@@ -33,18 +23,6 @@ std::vector<PassDelta> OptReport::totals_by_pass() const {
     slot->cells_added += d.cells_added;
   }
   return totals;
-}
-
-Optimizer::Optimizer(OptOptions options)
-    : options_(options), passes_(default_passes()) {}
-
-Optimizer::Optimizer(OptOptions options, std::vector<Pass> passes)
-    : options_(options), passes_(std::move(passes)) {}
-
-OptReport Optimizer::run(netlist::Module& m) const {
-  return PassManager("custom", passes_, options_, /*cost_model=*/nullptr,
-                     /*cost_driven=*/false)
-      .run(m);
 }
 
 OptReport optimize(netlist::Module& m, const OptOptions& options,

@@ -81,6 +81,10 @@ const FlowRecipe& flow_recipe(const std::string& name) {
 
 namespace {
 
+/// Fixpoint guard: maximum sweeps over the whole recipe.  Real circuits
+/// converge in 2-4 sweeps; the cap only bounds pathology.
+constexpr int kMaxIterations = 16;
+
 std::vector<Pass> resolve(const FlowRecipe& recipe) {
   std::vector<Pass> passes;
   passes.reserve(recipe.passes.size());
@@ -112,16 +116,6 @@ PassManager::PassManager(FlowRecipe recipe, OptOptions options,
       passes_(resolve(recipe_)),
       options_(options),
       cost_model_(cost_model) {}
-
-PassManager::PassManager(std::string name, std::vector<Pass> passes,
-                         OptOptions options, const CostModel* cost_model,
-                         bool cost_driven)
-    : options_(options), cost_model_(cost_model) {
-  recipe_.name = std::move(name);
-  recipe_.cost_driven = cost_driven;
-  for (const Pass& pass : passes) recipe_.passes.push_back(pass.name);
-  passes_ = std::move(passes);
-}
 
 namespace {
 
@@ -164,7 +158,7 @@ OptReport PassManager::run(netlist::Module& m) const {
   // module, so it is vetoed — skipping the module copy and probe replay
   // — until an acceptance clears the veto.
   std::vector<bool> vetoed(passes_.size(), false);
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     report.iterations = iter + 1;
     bool changed = false;
     for (std::size_t pi = 0; pi < passes_.size(); ++pi) {
@@ -183,7 +177,7 @@ OptReport PassManager::run(netlist::Module& m) const {
         netlist::Module& candidate = scratch_;
         candidate = m;
         PassDelta delta = pass.run(candidate);
-        if (options_.check_invariants) debug_validate(candidate, pass.name);
+        debug_validate(candidate, pass.name);
         if (!delta.changed()) {
           timing.seconds += seconds_between(pass_start,
                                             std::chrono::steady_clock::now());
@@ -193,8 +187,7 @@ OptReport PassManager::run(netlist::Module& m) const {
         ++timing.cost_probes;
         ++report.cost_probes;
         PML_OBS_COUNT("opt.cost_probes", 1);
-        if (candidate_cost <=
-            current_cost * (1.0 + options_.cost_tolerance)) {
+        if (candidate_cost <= current_cost) {
           std::swap(m, candidate);
           current_cost = candidate_cost;
           changed = true;
@@ -216,7 +209,7 @@ OptReport PassManager::run(netlist::Module& m) const {
         ++timing.applications;
         PML_OBS_COUNT("opt.pass.applications", 1);
         PassDelta delta = pass.run(m);
-        if (options_.check_invariants) debug_validate(m, pass.name);
+        debug_validate(m, pass.name);
         if (delta.changed()) {
           changed = true;
           report.deltas.push_back(std::move(delta));
@@ -230,11 +223,9 @@ OptReport PassManager::run(netlist::Module& m) const {
     if (!changed) break;
   }
 
-  if (options_.check_invariants) {
-    if (const auto err = m.validate()) {
-      throw std::runtime_error("pml::opt: optimized module is invalid: " +
-                               *err);
-    }
+  if (const auto err = m.validate()) {
+    throw std::runtime_error("pml::opt: optimized module is invalid: " +
+                             *err);
   }
   report.after = m.stats();
   if (cost_gate) {

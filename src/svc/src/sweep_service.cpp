@@ -77,15 +77,11 @@ void digest_workload(obs::Fnv1a& h, const core::CircuitWorkload& w) {
 // excluded too.
 void digest_options(obs::Fnv1a& h, const core::EvaluateOptions& o) {
   h.update_u64(o.power_samples);
-  h.update_u64(o.power_chunk_samples);
   h.update_f64(o.time_quantum_ms);
   h.update_u64(o.require_bit_exact ? 1 : 0);
   h.update_u64(o.verify.max_mismatches);
   h.update_u64(o.flow_probe_samples);
   h.update_u64(o.optimize.enabled ? 1 : 0);
-  h.update_u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(o.optimize.max_iterations)));
-  h.update_f64(o.optimize.cost_tolerance);
   h.update_u64(o.optimize.flow.size());
   h.update(o.optimize.flow);
 }

@@ -1,6 +1,6 @@
 #pragma once
-// pml::util::TaskPool — the process-lifetime work-stealing thread pool
-// behind every fan-out in the evaluation stack.
+// pml::util::TaskPool — the process-lifetime thread pool behind every
+// fan-out in the evaluation stack.
 //
 // It is the one fan-out primitive: the verify, activity and fault batch
 // loops, the precision search, SVM training and the Table I design
@@ -12,12 +12,11 @@
 // with one lazily-started set of worker threads that live for the
 // process:
 //
-//   * One Chase-Lev-style deque per worker (owner pushes/pops the
-//     bottom, thieves CAS the top) plus a mutex-guarded global injector
-//     for submissions from non-pool threads.  All deque state is
-//     std::atomic with seq_cst top/bottom — no fences — so the
-//     algorithm is exactly as racy as ThreadSanitizer can prove it
-//     isn't.
+//   * One FIFO queue of tasks, guarded by the pool mutex.  Every
+//     submission, from a pool worker or any other thread, pushes to its
+//     back and wakes one parked worker; workers pop the front and run
+//     the task unlocked.  Pool tasks run for tens of microseconds to
+//     seconds, so one lock per task is noise.
 //   * Idle workers park on a condition variable; an idle pool costs
 //     nothing but memory.
 //   * Fan-outs are *groups*: run_group(n, ...) pushes n-1 tickets and
@@ -40,7 +39,7 @@
 // Determinism: slots receive dense indices 0..n-1 via an atomic claim
 // counter, and every caller that merges per-slot results does so by slot
 // index, never by execution order — results are independent of which
-// worker runs which slot and of stealing order (proven by the
+// worker runs which slot and of the order tickets are taken (proven by the
 // thread-count-invariance tests and tests/test_util_task_pool.cpp).
 //
 // Sizing: max(2, std::thread::hardware_concurrency()) workers, override
@@ -50,9 +49,10 @@
 // stop(); the next submission restarts them.
 //
 // Observability: `pool.tasks` (slots + detached tasks executed),
-// `pool.steals` (successful deque steals), `pool.parked` (worker park
-// events) counters, and every task body runs under an obs::TaskTrack so
-// reused OS threads still render one trace track per task (see
+// `pool.steals` (group slots claimed through a queued ticket, i.e. taken
+// off the submitting thread), `pool.parked` (worker park events)
+// counters, and every task body runs under an obs::TaskTrack so reused OS
+// threads still render one trace track per task (see
 // docs/observability.md).
 
 #include <cstddef>

@@ -31,98 +31,6 @@ std::size_t resolve_pool_size() {
   return std::max<std::size_t>(2, hw == 0 ? 2 : hw);
 }
 
-/// Chase-Lev work-stealing deque over Task pointers.  The owning worker
-/// pushes and pops the bottom; thieves CAS the top.  Every slot is a
-/// std::atomic and top/bottom use seq_cst, so there are no fences and no
-/// non-atomic shared accesses for ThreadSanitizer to flag.  Grown arrays
-/// are retired (not freed) until the deque dies: a thief that loaded the
-/// old array still reads the correct task for its position, because grow
-/// copies [top, bottom) and positions are never reused within an array
-/// (push grows instead of wrapping onto a live position).
-class StealDeque {
- public:
-  StealDeque() : array_(new Array(64)) {}
-  ~StealDeque() {
-    delete array_.load(std::memory_order_relaxed);
-    for (Array* a : retired_) delete a;
-  }
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only.
-  void push_bottom(TaskPool::Task* task) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Array* a = array_.load(std::memory_order_relaxed);
-    if (b - t >= static_cast<std::int64_t>(a->cap)) a = grow(a, t, b);
-    a->slot(b).store(task, std::memory_order_relaxed);
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-  }
-
-  /// Owner only.  nullptr when empty (or lost the last element to a
-  /// thief).
-  TaskPool::Task* pop_bottom() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Array* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {  // empty
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    TaskPool::Task* task = a->slot(b).load(std::memory_order_relaxed);
-    if (t == b) {  // last element: race thieves for it via the top CAS
-      if (!top_.compare_exchange_strong(t, t + 1,
-                                        std::memory_order_seq_cst)) {
-        task = nullptr;  // a thief won
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return task;
-  }
-
-  /// Any thread.  nullptr when empty or the CAS race is lost.
-  TaskPool::Task* steal_top() {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Array* a = array_.load(std::memory_order_acquire);
-    TaskPool::Task* task = a->slot(t).load(std::memory_order_relaxed);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst)) {
-      return nullptr;
-    }
-    return task;
-  }
-
- private:
-  struct Array {
-    explicit Array(std::size_t c)
-        : cap(c), slots(new std::atomic<TaskPool::Task*>[c]) {}
-    ~Array() { delete[] slots; }
-    std::atomic<TaskPool::Task*>& slot(std::int64_t i) {
-      return slots[static_cast<std::size_t>(i) & (cap - 1)];  // cap is 2^k
-    }
-    const std::size_t cap;
-    std::atomic<TaskPool::Task*>* const slots;
-  };
-
-  Array* grow(Array* old, std::int64_t t, std::int64_t b) {
-    Array* bigger = new Array(old->cap * 2);
-    for (std::int64_t i = t; i < b; ++i) {
-      bigger->slot(i).store(old->slot(i).load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    }
-    retired_.push_back(old);  // owner-only; thieves may still read it
-    array_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Array*> array_;
-  std::vector<Array*> retired_;
-};
-
 /// One fan-out: n fungible slots handed out by an atomic claim counter.
 /// The same GroupState* is pushed n-1 times as a ticket; the submitting
 /// thread claims slots inline too, so tickets that pop after the group
@@ -133,14 +41,17 @@ struct GroupState final : TaskPool::Task {
     run = &GroupState::execute;
   }
 
-  /// Claim and run one slot; false when none remain.  Exceptions from the
-  /// body are captured (first one wins), never thrown.
-  bool run_next() {
+  /// Claim and run one slot; false when none remain.  `ticket` marks a
+  /// claim made through a queued ticket, i.e. by a thread other than the
+  /// submitter.  Exceptions from the body are captured (first one wins),
+  /// never thrown.
+  bool run_next(bool ticket = false) {
     const std::size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
     if (slot >= num_slots) return false;
     {
       obs::TaskTrack track(label);
       PML_OBS_COUNT("pool.tasks", 1);
+      if (ticket) PML_OBS_COUNT("pool.steals", 1);
       try {
         body(ctx, slot);
       } catch (...) {
@@ -162,7 +73,7 @@ struct GroupState final : TaskPool::Task {
 
   static void execute(TaskPool::Task* task) {
     auto* g = static_cast<GroupState*>(task);
-    g->run_next();
+    g->run_next(/*ticket=*/true);
     g->release();
   }
 
@@ -178,9 +89,6 @@ struct GroupState final : TaskPool::Task {
   std::exception_ptr error;  // first slot failure; written under mu
 };
 
-thread_local TaskPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
 }  // namespace
 
 struct TaskPool::Shared {
@@ -189,12 +97,8 @@ struct TaskPool::Shared {
   bool started = false;
   bool stopping = false;
   std::vector<std::thread> threads;
-  std::deque<Task*> injector;  // submissions from non-pool threads
-  std::vector<StealDeque> deques;
-  std::atomic<std::int64_t> pending{0};  // queued, not yet dequeued
+  std::deque<Task*> queue;  // group tickets and detached tasks, FIFO
   std::atomic<std::uint64_t> threads_started{0};
-
-  explicit Shared(std::size_t n) : deques(n) {}
 };
 
 TaskPool& TaskPool::instance() {
@@ -202,9 +106,7 @@ TaskPool& TaskPool::instance() {
   return *pool;
 }
 
-TaskPool::TaskPool() : size_(resolve_pool_size()) {
-  s_ = new Shared(size_);
-}
+TaskPool::TaskPool() : s_(new Shared), size_(resolve_pool_size()) {}
 
 std::uint64_t TaskPool::threads_started() const noexcept {
   return s_->threads_started.load(std::memory_order_relaxed);
@@ -214,41 +116,24 @@ void TaskPool::note_task_executed() noexcept { PML_OBS_COUNT("pool.tasks", 1); }
 
 namespace {
 
-/// Workers drain their own deque, then the injector, then steal.
-TaskPool::Task* find_task(TaskPool::Shared& s, std::size_t self) {
-  if (TaskPool::Task* t = s.deques[self].pop_bottom()) return t;
-  {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    if (!s.injector.empty()) {
-      TaskPool::Task* t = s.injector.front();
-      s.injector.pop_front();
-      return t;
-    }
-  }
-  for (std::size_t i = 1; i < s.deques.size(); ++i) {
-    const std::size_t victim = (self + i) % s.deques.size();
-    if (TaskPool::Task* t = s.deques[victim].steal_top()) {
-      PML_OBS_COUNT("pool.steals", 1);
-      return t;
-    }
-  }
-  return nullptr;
-}
-
-void worker_main(TaskPool* pool, TaskPool::Shared& s, std::size_t self) {
-  tl_pool = pool;
-  tl_worker = self;
+/// Pop tasks in submission order and run them unlocked; park when the
+/// queue is empty.  Exit only once stop() is under way and the queue has
+/// drained, so tickets and detached tasks queued before stop() still run.
+void worker_main(TaskPool::Shared& s) {
+  std::unique_lock<std::mutex> lock(s.mu);
   for (;;) {
-    if (TaskPool::Task* t = find_task(s, self)) {
-      s.pending.fetch_sub(1, std::memory_order_seq_cst);
+    if (!s.queue.empty()) {
+      TaskPool::Task* t = s.queue.front();
+      s.queue.pop_front();
+      lock.unlock();
       t->run(t);
-      continue;
+      lock.lock();
+    } else if (s.stopping) {
+      return;
+    } else {
+      PML_OBS_COUNT("pool.parked", 1);
+      s.cv.wait(lock);
     }
-    std::unique_lock<std::mutex> lock(s.mu);
-    if (s.pending.load(std::memory_order_seq_cst) > 0) continue;  // rescan
-    if (s.stopping) return;  // queues are quiesced: safe to exit
-    PML_OBS_COUNT("pool.parked", 1);
-    s.cv.wait(lock);
   }
 }
 
@@ -272,16 +157,16 @@ void TaskPool::stop() {
 }
 
 void TaskPool::submit_task(Task* task) {
-  // ensure_started + push, then wake.  Spawn failure with zero threads
-  // rethrows (nothing can run the task); a partially-spawned pool is
-  // simply a smaller pool and keeps the task.
+  // Start the workers if needed, then queue and wake one.  Spawn failure
+  // with zero threads rethrows (nothing could run the task); a
+  // partially-spawned pool is simply a smaller pool and keeps the task.
   {
-    std::lock_guard<std::mutex> lock(s_->mu);
+    const std::lock_guard<std::mutex> lock(s_->mu);
     if (!s_->started && !s_->stopping) {
       s_->threads.reserve(size_);
       try {
         for (std::size_t i = 0; i < size_; ++i) {
-          s_->threads.emplace_back(worker_main, this, std::ref(*s_), i);
+          s_->threads.emplace_back(worker_main, std::ref(*s_));
           s_->threads_started.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (...) {
@@ -289,18 +174,9 @@ void TaskPool::submit_task(Task* task) {
       }
       s_->started = true;
     }
+    s_->queue.push_back(task);
   }
-  if (tl_pool == this) {
-    s_->deques[tl_worker].push_bottom(task);
-  } else {
-    const std::lock_guard<std::mutex> lock(s_->mu);
-    s_->injector.push_back(task);
-  }
-  s_->pending.fetch_add(1, std::memory_order_seq_cst);
-  {  // lock-then-notify: no parked worker can miss the wakeup
-    const std::lock_guard<std::mutex> lock(s_->mu);
-  }
-  s_->cv.notify_all();
+  s_->cv.notify_one();
 }
 
 void TaskPool::run_group_erased(std::size_t slots, const char* label,

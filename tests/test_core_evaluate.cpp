@@ -157,15 +157,15 @@ TEST(Evaluate, PowerReplayDeterministicAcrossThreadCounts) {
   const auto wl = make_workload(q);
   EvaluateOptions single;
   single.power_threads = 1;
-  single.power_chunk_samples = 4;
   EvaluateOptions multi = single;
   multi.power_threads = 4;
   const HardwareReport a = evaluate_circuit(
       circuit.module, circuit.cycles_per_inference, lib, wl, single);
   const HardwareReport b = evaluate_circuit(
       circuit.module, circuit.cycles_per_inference, lib, wl, multi);
-  // The merged activity is deterministic in the chunking alone, so the
-  // power numbers are bit-identical across worker configurations.
+  // The merged activity is deterministic in the sample count alone (the
+  // auto chunking is sized from it), so the power numbers are
+  // bit-identical across worker configurations.
   EXPECT_EQ(a.dynamic_mw, b.dynamic_mw);
   EXPECT_EQ(a.energy_mj, b.energy_mj);
 }

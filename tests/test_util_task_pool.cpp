@@ -1,18 +1,19 @@
-// Direct coverage of util::TaskPool — the process-wide work-stealing
-// pool behind every evaluation fan-out (run_group), the sweep service's
-// worker seats (submit_detached), and the precision search.  The
-// properties proven here are the ones the rest of the stack leans on:
-// a single slot runs inline, every group slot runs exactly once,
-// slot-indexed merges are bit-identical regardless of which worker
-// steals what, nested groups never deadlock (the submitting thread
-// claims unclaimed slots itself), a throwing slot quiesces the group
-// before rethrowing, cancellation checkpoints stop every sibling, a
-// failed submission (std::bad_alloc from the chaos allocation hook)
-// never strands a ticket or deadlocks, detached tasks queued before
-// stop() still run, and a stopped pool restarts lazily.
+// Direct coverage of util::TaskPool — the process-wide pool behind every
+// evaluation fan-out (run_group), the sweep service's worker seats
+// (submit_detached), and the precision search.  The properties proven
+// here are the ones the rest of the stack leans on: a single slot runs
+// inline, every group slot runs exactly once (also with many outside
+// threads submitting at once), slot-indexed merges are bit-identical
+// regardless of which thread claims what, nested groups never deadlock
+// (the submitting thread claims unclaimed slots itself), a throwing slot
+// quiesces the group before rethrowing, cancellation checkpoints stop
+// every sibling, a failed submission (std::bad_alloc from the chaos
+// allocation hook) never strands a ticket or deadlocks, detached tasks
+// queued before stop() still run, and a stopped pool restarts lazily.
 //
-// Runs under ThreadSanitizer in CI — the deque protocol is all-atomic
-// precisely so these tests prove it race-free, not just lucky.
+// Runs under ThreadSanitizer in CI: the queue lives under the pool mutex,
+// and the group state (claim counter, completion count, reference count,
+// first error) is what these tests prove race-free.
 
 #include "pml/util/alloc_hook.hpp"
 
@@ -20,12 +21,14 @@ PML_INSTALL_COUNTING_ALLOC_HOOK;
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <new>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "pml/util/cancellation.hpp"
@@ -67,11 +70,11 @@ TEST(TaskPool, GroupRunsEverySlotExactlyOnce) {
   }
 }
 
-TEST(TaskPool, SlotMergeIsDeterministicUnderStealing) {
+TEST(TaskPool, SlotMergeIsDeterministicUnderAnySchedule) {
   // The batch-loop shape: workers claim items from a shared counter and
   // write results by item index.  Which worker computes which item (and
-  // who steals whose ticket) varies run to run; the merged vector must
-  // not.  f(i) is arbitrary but order-sensitive enough to catch an
+  // which thread takes which ticket) varies run to run; the merged vector
+  // must not.  f(i) is arbitrary but order-sensitive enough to catch an
   // index mixup.
   constexpr std::size_t kItems = 4096;
   const auto f = [](std::size_t i) {
@@ -111,6 +114,55 @@ TEST(TaskPool, NestedGroupsDoNotDeadlock) {
     });
   });
   EXPECT_EQ(ran.load(), outer * kInner);
+}
+
+TEST(TaskPool, ConcurrentSubmittersEachRunEverySlotOnce) {
+  // Many non-pool threads feed the one queue at once, the shape of a
+  // sweep-service client fleet: every round's group (and the nested group
+  // its slot 0 runs) must run each slot exactly once, and every detached
+  // task must run.
+  TaskPool& pool = TaskPool::instance();
+  constexpr int kSubmitters = 8;
+  constexpr int kRounds = 200;
+  constexpr int kDetachedEvery = 10;
+  constexpr int kDetached = kSubmitters * kRounds / kDetachedEvery;
+  std::mutex mu;
+  std::condition_variable cv;
+  int detached_done = 0;
+  std::vector<int> bad_rounds(kSubmitters, 0);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Distinct cells per slot: the group join publishes the writes.
+        std::array<int, 3> outer{};
+        std::array<int, 2> inner{};
+        pool.run_group(3, "test.submitters", [&](std::size_t slot) {
+          outer[slot] += 1;
+          if (slot != 0) return;
+          pool.run_group(2, "test.submitters.inner",
+                         [&](std::size_t k) { inner[k] += 1; });
+        });
+        if (outer != std::array<int, 3>{1, 1, 1} ||
+            inner != std::array<int, 2>{1, 1}) {
+          ++bad_rounds[t];
+        }
+        if (round % kDetachedEvery == 0) {
+          pool.submit_detached("test.submitters.detached", [&] {
+            const std::lock_guard<std::mutex> lk(mu);
+            if (++detached_done == kDetached) cv.notify_all();
+          });
+        }
+      }
+    });
+  }
+  for (std::thread& th : submitters) th.join();
+  for (int t = 0; t < kSubmitters; ++t) {
+    EXPECT_EQ(bad_rounds[t], 0) << "submitter " << t;
+  }
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return detached_done == kDetached; });
+  EXPECT_EQ(detached_done, kDetached);
 }
 
 TEST(TaskPool, ThrowingSlotQuiescesGroupThenRethrows) {
@@ -228,7 +280,7 @@ TEST(TaskPool, DetachedTasksQueuedBeforeStopStillRun) {
       if (++done == kTasks) cv.notify_all();
     });
   }
-  // Workers drain their queues before honoring stop(), so this joins
+  // Workers drain the queue before honoring stop(), so this joins
   // with every task executed even if stop() wins the race to the lock.
   pool.stop();
   std::unique_lock<std::mutex> lk(mu);
