@@ -17,8 +17,10 @@
 //   2. *Nested sharing* — an outer group saturates the pool, one slot
 //      fans out again (nested submission), and its siblings — already
 //      done with their own slots — must take the nested tickets off the
-//      shared queue: the pool.steals counter (slots claimed through a
-//      queued ticket) must move (pool.steal_ok).
+//      shared queue: some inner slot must run on a thread other than the
+//      one that submitted the inner group (pool.steal_ok).  The
+//      pool.steals counter delta (every slot claimed through a queued
+//      ticket, outer group included) rides along as info.
 //   3. *Warm steady state* — a sweep of distinct jobs through a
 //      2-worker svc::SweepService on the warm pool must complete with
 //      TaskPool::threads_started() unmoved (pool.no_spawn_steady_ok);
@@ -105,17 +107,21 @@ bool leg_steals(std::uint64_t& steals) {
   // retries: each round saturates the pool with an outer group whose
   // slot 0 fans out again with slow inner slots while its siblings finish
   // instantly — the siblings' only source of work is then the nested
-  // tickets slot 0 queued.
+  // tickets slot 0 queued.  Only inner slots run off slot 0's thread
+  // count; the outer group's own tickets do not.
   for (int attempt = 0; attempt < 5; ++attempt) {
     const obs::MetricsSnapshot before = obs::snapshot_metrics();
-    std::atomic<std::uint64_t> spins{0};
+    std::atomic<bool> shared{false};
     pool.run_group(pool.size(), "bench.outer", [&](std::size_t slot) {
       if (slot != 0) return;
+      const std::thread::id submitter = std::this_thread::get_id();
       pool.run_group(4 * pool.size(), "bench.inner", [&](std::size_t) {
+        if (std::this_thread::get_id() != submitter) {
+          shared.store(true, std::memory_order_relaxed);
+        }
         const auto until =
             std::chrono::steady_clock::now() + std::chrono::microseconds(100);
         while (std::chrono::steady_clock::now() < until) {
-          spins.fetch_add(1, std::memory_order_relaxed);
         }
       });
     });
@@ -125,7 +131,7 @@ bool leg_steals(std::uint64_t& steals) {
     for (const auto& [metric, value] : delta.counters) {
       if (metric == "pool.steals") steals = value;
     }
-    if (steals > 0) return true;
+    if (shared.load(std::memory_order_relaxed)) return true;
   }
   return false;
 }

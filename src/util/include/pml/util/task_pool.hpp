@@ -14,7 +14,7 @@
 //
 //   * One FIFO queue of tasks, guarded by the pool mutex.  Every
 //     submission, from a pool worker or any other thread, pushes to its
-//     back and wakes one parked worker; workers pop the front and run
+//     back and wakes the parked workers; workers pop the front and run
 //     the task unlocked.  Pool tasks run for tens of microseconds to
 //     seconds, so one lock per task is noise.
 //   * Idle workers park on a condition variable; an idle pool costs

@@ -157,9 +157,11 @@ void TaskPool::stop() {
 }
 
 void TaskPool::submit_task(Task* task) {
-  // Start the workers if needed, then queue and wake one.  Spawn failure
-  // with zero threads rethrows (nothing could run the task); a
-  // partially-spawned pool is simply a smaller pool and keeps the task.
+  // Start the workers if needed, queue, then wake every parked worker:
+  // a group's n-1 tickets then cost one wake-up, not one per ticket.
+  // Spawn failure with zero threads rethrows (nothing could run the
+  // task); a partially-spawned pool is simply a smaller pool and keeps
+  // the task.
   {
     const std::lock_guard<std::mutex> lock(s_->mu);
     if (!s_->started && !s_->stopping) {
@@ -176,7 +178,7 @@ void TaskPool::submit_task(Task* task) {
     }
     s_->queue.push_back(task);
   }
-  s_->cv.notify_one();
+  s_->cv.notify_all();
 }
 
 void TaskPool::run_group_erased(std::size_t slots, const char* label,
