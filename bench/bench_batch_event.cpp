@@ -35,7 +35,7 @@ using namespace pml;
 
 namespace {
 
-constexpr double kQuantumMs = 0.02;
+constexpr double kQuantumMs = core::kTimeQuantumMs;
 constexpr std::size_t kChunk = 16;
 
 /// Scalar reference loop: exactly what evaluate_circuit's power step did
@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   core::ActivityOptions aopts;
   aopts.num_threads = 1;
   aopts.chunk_samples = kChunk;
-  aopts.time_quantum_ms = kQuantumMs;
   aopts.backend = sim::parse_backend(args.backend);
   aopts.levelization = sim::levelize_shared(circuit.module);
   sw.restart();

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
 
   core::EvaluateOptions eopts;
   eopts.power_samples = quick ? 48 : 96;
-  eopts.flow_probe_samples = 48;
 
   const cells::CellLibrary lib = cells::CellLibrary::egfet();
   const std::vector<std::string> flows = {"none", "area", "energy",

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   const ml::Dataset test = scaler.transform(split.test);
   core::SequentialSvmFlowOptions options;
   options.evaluate.power_samples = 12;
-  options.flow = flow;
+  options.evaluate.optimize.flow = flow;
   const core::SequentialSvmDesign design = core::design_sequential_svm(
       train, test, cells::CellLibrary::egfet(), options);
   const netlist::Module& module = design.circuit.module;

@@ -54,6 +54,11 @@
 
 namespace pml::core {
 
+/// Event-simulator tick (ms) of every activity replay and cost-model
+/// probe; the scalar reference must use the same tick for bit-exact
+/// equivalence.
+inline constexpr double kTimeQuantumMs = 0.02;
+
 struct ActivityOptions {
   /// Worker threads; 0 = the shared TaskPool's width (clamped to the
   /// batch x segment count, so small workloads never spawn idle threads).
@@ -67,18 +72,15 @@ struct ActivityOptions {
   /// (clamped to [4, 16]), so the merged counts stay identical across
   /// backends, hosts and runs.
   std::size_t chunk_samples = 0;
-  /// Event-simulator tick (ms); must match the scalar reference for
-  /// bit-exact equivalence.
-  double time_quantum_ms = 0.02;
   /// Optional pre-derived levelization shared with the caller's other
   /// analyses; nullptr derives one internally.
   std::shared_ptr<const sim::Levelization> levelization;
   /// Optional pooled scratch: workers rebind the context's pooled
   /// zero-delay and event engines, accumulate into its pooled per-slot
   /// ActivityStats and write seam snapshots into its pooled buffer — the
-  /// zero-allocation path of evaluate_circuit.  The
-  /// context must not be shared with a concurrent evaluation; nullptr
-  /// allocates per-call scratch as before.
+  /// zero-allocation path of evaluate_circuit.  The context must not be
+  /// shared with a concurrent evaluation; nullptr runs the same path on
+  /// a call-local context.
   EvalContext* context = nullptr;
   /// Optional cooperative cancellation, checked between worker segments
   /// (throws util::Cancelled).  Null = no checks.
@@ -116,21 +118,19 @@ void collect_activity_into(sim::ActivityStats& out,
 
 namespace detail {
 
-/// What a replay's schedule did (see the header comment).
-struct ReplayTrace {
-  std::size_t segments = 0;        ///< per batch, after clamping
-  std::size_t seam_fallbacks = 0;  ///< 1 if it re-ran unsplit
-};
-
 /// collect_activity_into with `segments` counted-round segments per batch
 /// (0 = the automatic choice; clamped to the counted rounds of the
 /// shortest batch).  Not part of the public API: the differential tests
-/// use it to pin the segment count.
-ReplayTrace collect_activity_scheduled(
-    sim::ActivityStats& out, const netlist::Module& module,
-    const cells::CellLibrary& lib, int cycles_per_inference,
-    const CircuitWorkload& workload, std::size_t num_samples,
-    const ActivityOptions& options, std::size_t segments);
+/// use it to pin the segment count, and read the schedule taken from the
+/// counters sim.batch_event.{batches,segments,seam_fallbacks}.
+void collect_activity_scheduled(sim::ActivityStats& out,
+                                const netlist::Module& module,
+                                const cells::CellLibrary& lib,
+                                int cycles_per_inference,
+                                const CircuitWorkload& workload,
+                                std::size_t num_samples,
+                                const ActivityOptions& options,
+                                std::size_t segments);
 
 }  // namespace detail
 

@@ -9,7 +9,8 @@
 // snapshots, the optimizer's module copy, and the timing/activity/power
 // result records.  evaluate_circuit_into
 // threads it through verify_workload and collect_activity (via
-// VerifyOptions::context / ActivityOptions::context), so after the first
+// VerifyOptions::context / ActivityOptions::context; a call without one
+// runs on a call-local context, built per call), so after the first
 // evaluation warms the capacities up, steady-state evaluations of
 // same-shaped modules perform ZERO heap allocation on the calling thread
 // (proven by the allocation-hook test in tests/test_eval_alloc.cpp and

@@ -14,6 +14,7 @@
 //     adds static.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "pml/cells/library.hpp"
@@ -26,14 +27,18 @@
 
 namespace pml::core {
 
+/// Workload samples probed per cost-model query when the selected flow is
+/// cost-driven ("balanced") or a selection policy ("best"): the
+/// opt::SwitchingEnergyCost replays them through the batch event
+/// simulator to price candidate netlists by measured switching energy.
+inline constexpr std::size_t kCostProbeSamples = 48;
+
 struct EvaluateOptions {
   /// Samples replayed through the batch-event simulator for power (the
   /// full workload is always used for functional verification).
   std::size_t power_samples = 120;
   /// Worker threads for the power replay; 0 = one per hardware thread.
   std::size_t power_threads = 0;
-  /// Event-simulator tick (ms); smaller = finer glitch resolution.
-  double time_quantum_ms = 0.02;
   /// Throw on any circuit-vs-model mismatch (always keep on; exposed for
   /// the failure-injection tests).
   bool require_bit_exact = true;
@@ -43,10 +48,15 @@ struct EvaluateOptions {
   /// diagnostics, so skipping it is also part of the zero-allocation
   /// steady-state contract.
   bool validate_module = true;
-  /// Batch-verification engine knobs (thread count etc.).  `levelization`
-  /// is managed by evaluate_circuit itself; `max_mismatches` is honored
-  /// when set, and defaults to fail-fast under require_bit_exact.
-  VerifyOptions verify;
+  /// Batch-verification knobs.  The levelization, context, cancellation
+  /// and backend of the verify step come from evaluate_circuit itself.
+  struct Verify {
+    /// Worker threads; 0 = the shared TaskPool's width.
+    std::size_t num_threads = 0;
+    /// Honored when set; the default means fail-fast under
+    /// require_bit_exact and count every mismatch otherwise.
+    std::size_t max_mismatches = std::numeric_limits<std::size_t>::max();
+  } verify;
   /// Run the opt flow named by `optimize.flow` on a copy of the module
   /// before levelization — verification, timing, activity, and power then
   /// all see the optimized netlist (a fast no-op when the arch generator
@@ -54,13 +64,6 @@ struct EvaluateOptions {
   /// the module exactly as handed in.  Pre/post ModuleStats and the
   /// chosen recipe land in the HardwareReport.
   opt::OptOptions optimize;
-  /// Workload samples probed per cost-model query when the selected flow
-  /// is cost-driven ("balanced") or a selection policy ("best"): the
-  /// opt::SwitchingEnergyCost replays them through the batch event
-  /// simulator to price candidate netlists by measured switching energy.
-  /// Capped at one reference batch (sim::BatchSimulator::kLanes, one lane
-  /// each); 0 falls back to the cell-count model.
-  std::size_t flow_probe_samples = 48;
   /// SIMD lane-word backend for the verify and activity phases (and the
   /// cost-model probe replays).  kAuto picks the widest backend the CPU
   /// supports, except that an activity replay whose chunks fit 64 lanes

@@ -37,11 +37,9 @@ struct SequentialSvmFlowOptions {
   double validation_fraction = 0.25;
   quant::PrecisionSearchOptions precision;
   std::uint64_t seed = 7;
+  /// evaluate.optimize.flow steers both generation and evaluation
+  /// ("area", "energy", "balanced", "none", "best").
   EvaluateOptions evaluate;
-  /// Optimization flow recipe for generation *and* evaluation ("area",
-  /// "energy", "balanced", "none", "best").  Non-empty overrides
-  /// evaluate.optimize.flow so one knob steers the whole design.
-  std::string flow;
 };
 
 struct SequentialSvmDesign {

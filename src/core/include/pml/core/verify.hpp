@@ -49,10 +49,10 @@ struct VerifyOptions {
   /// analyses; nullptr derives one internally.
   std::shared_ptr<const sim::Levelization> levelization;
   /// Optional pooled scratch: workers rebind the context's pooled
-  /// BatchSimulators instead of constructing their own, and the feature
-  /// ports resolve into its pooled vector — the zero-allocation path of
-  /// evaluate_circuit.  The context must not be shared with a concurrent
-  /// evaluation; nullptr allocates per-call scratch as before.
+  /// BatchSimulators and the feature ports resolve into its pooled
+  /// vector — the zero-allocation path of evaluate_circuit.  The context
+  /// must not be shared with a concurrent evaluation; nullptr runs the
+  /// same path on a call-local context.
   EvalContext* context = nullptr;
   /// Optional cooperative cancellation: workers check between batches
   /// and throw util::Cancelled, so a cancel/deadline stops the sweep at

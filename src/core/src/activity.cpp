@@ -1,6 +1,7 @@
 #include "pml/core/activity.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "backends/kernels.hpp"
@@ -35,63 +36,41 @@ std::size_t resolve_chunk_samples(std::size_t requested, std::size_t n) {
 
 namespace detail {
 
-ReplayTrace collect_activity_scheduled(
-    sim::ActivityStats& out, const netlist::Module& module,
-    const cells::CellLibrary& lib, int cycles_per_inference,
-    const CircuitWorkload& workload, std::size_t num_samples,
-    const ActivityOptions& options, std::size_t segments) {
-  if (workload.feature_codes.empty()) {
-    throw std::invalid_argument("collect_activity: empty workload");
-  }
-  const std::size_t num_features = workload.feature_codes[0].size();
-  for (const auto& row : workload.feature_codes) {
-    if (row.size() != num_features) {
-      throw std::invalid_argument("collect_activity: ragged feature_codes");
-    }
-  }
+void collect_activity_scheduled(sim::ActivityStats& out,
+                                const netlist::Module& module,
+                                const cells::CellLibrary& lib,
+                                int cycles_per_inference,
+                                const CircuitWorkload& workload,
+                                std::size_t num_samples,
+                                const ActivityOptions& options,
+                                std::size_t segments) {
+  // The caller's context, else a call-local one (see verify_workload).
+  std::optional<EvalContext> local;
+  EvalContext& ctx =
+      options.context != nullptr ? *options.context : local.emplace();
+  backends::ActivityJob job;
+  backends::prepare_job(job, "collect_activity", module, cycles_per_inference,
+                        workload.feature_codes, ctx.ports,
+                        options.levelization, options.cancel);
   const std::size_t n = std::min(num_samples, workload.feature_codes.size());
   if (n == 0) {
     throw std::invalid_argument("collect_activity: zero samples");
   }
-  // Feature ports resolve into the context's pooled vector when pooling
-  // (verify_workload ran first and resolved the same ports, so the pooled
-  // refill is allocation-free).
-  std::vector<const netlist::Port*> local_ports;
-  std::vector<const netlist::Port*>& ports =
-      options.context != nullptr ? options.context->ports : local_ports;
-  feature_ports_into(ports, module, num_features);
-  const std::shared_ptr<const sim::Levelization> lv =
-      options.levelization != nullptr ? options.levelization
-                                      : sim::levelize_shared(module);
-
-  ReplayTrace trace;
-  backends::ActivityJob job;
-  job.module = &module;
-  job.lv = lv;
-  job.ports = &ports;
-  job.sequential = !lv->dffs.empty();
-  job.cycles_per_inference = cycles_per_inference;
-  job.cancel = options.cancel;
+  job.num_threads = options.num_threads;
   job.lib = &lib;
-  job.time_quantum_ms = options.time_quantum_ms;
-  job.samples = &workload.feature_codes;
   job.num_samples = n;
   job.chunk_samples = resolve_chunk_samples(options.chunk_samples, n);
   job.num_chunks = (n + job.chunk_samples - 1) / job.chunk_samples;
-  job.num_threads = options.num_threads;
-  job.context = options.context;
+  job.context = &ctx;
   job.segments = segments;
-  job.trace = &trace;
 
   // Chunking is deterministic in chunk_samples alone; only the grouping
   // of chunks into batches (and so the thread clamp) depends on the
   // backend's lane width, and the merged counts are invariant to it.
   // That frees kAuto to dispatch by occupancy: chunks that fit one u64
   // word replay on u64 rather than a mostly idle wide word.
-  const backends::Kernels& k = backends::kernels_for(
-      sim::resolve_backend(options.backend, job.num_chunks));
-  k.activity(job, out);
-  return trace;
+  backends::kernels_for(sim::resolve_backend(options.backend, job.num_chunks))
+      .activity(job, out);
 }
 
 }  // namespace detail
@@ -115,9 +94,8 @@ void collect_activity_into(sim::ActivityStats& out,
                            const CircuitWorkload& workload,
                            std::size_t num_samples,
                            const ActivityOptions& options) {
-  (void)detail::collect_activity_scheduled(out, module, lib,
-                                           cycles_per_inference, workload,
-                                           num_samples, options, 0);
+  detail::collect_activity_scheduled(out, module, lib, cycles_per_inference,
+                                     workload, num_samples, options, 0);
 }
 
 }  // namespace pml::core

@@ -1,14 +1,18 @@
 #pragma once
 // The width-generic worker loops behind the Kernels table (kernels.hpp).
 //
-// Each backend TU instantiates these templates on its LaneWord — they are
-// the former bodies of verify_workload / collect_activity_into /
-// run_fault_campaign, verbatim in protocol (claim order, cancellation
-// checkpoints, obs span/counter names, pooling, lowest-index-first
-// mismatch, warm-up rounds, golden-lane bookkeeping), with every literal
-// 64 replaced by the backend's lane width.  Keeping them here, included
-// ONLY from the per-backend TUs, means the vector instantiations are
-// compiled exactly once each, under the right -m flags.
+// Each backend TU instantiates these templates on its LaneWord, with every
+// literal 64 replaced by the backend's lane width.  The drivers have
+// already run the shared preamble (prepare_job), so a loop starts from a
+// validated job.  One step serves every loop that drives a batch of
+// samples: run_inference drives lane l with row sample_of(l), then clocks
+// cycles_per_inference times or settles; the fault loop alone broadcasts
+// one row to all lanes.  Verify and activity run on the job's EvalContext
+// worker slots (the caller's context or the driver's call-local one);
+// the fault and probe loops own their engines.  Keeping these templates
+// here, included ONLY from the per-backend TUs, means the vector
+// instantiations are compiled exactly once each, under the right -m
+// flags.
 //
 // Width-invariance (why every backend returns identical results):
 //  - verify: each lane's sample is simulated independently; lane packing
@@ -84,14 +88,34 @@ template <class L>
   return std::min(n, num_batches);
 }
 
+/// Drive lane l of `sim` (either engine) with row sample_of(l) of the job,
+/// for l in [0, lanes), and run one inference.
+template <class Sim, class SampleOf>
+void run_inference(Sim& sim, const JobBase& job, std::size_t lanes,
+                   SampleOf sample_of) {
+  std::uint64_t lane_values[Sim::kLanes];
+  for (std::size_t j = 0; j < job.ports->size(); ++j) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lane_values[l] = static_cast<std::uint64_t>((*job.rows)[sample_of(l)][j]);
+    }
+    sim.set_port(*(*job.ports)[j], lane_values, lanes);
+  }
+  if (job.sequential) {
+    for (int c = 0; c < job.cycles_per_inference; ++c) sim.step();
+  } else if constexpr (requires { sim.settle(); }) {
+    sim.settle();
+  } else {
+    sim.propagate();
+  }
+}
+
 // --- verify -----------------------------------------------------------------
 
 template <class L>
 void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
   constexpr std::size_t kLanes = L::kWidth;
-  const CircuitWorkload& workload = *job.workload;
-  const std::vector<const netlist::Port*>& ports = *job.ports;
-  const std::size_t num_samples = workload.feature_codes.size();
+  const std::vector<int>& expected = *job.expected_class;
+  const std::size_t num_samples = expected.size();
   const std::size_t num_batches = (num_samples + kLanes - 1) / kLanes;
   const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
 
@@ -99,19 +123,15 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
   std::atomic<std::size_t> mismatch_count{0};
   std::mutex mu;  // guards result.first (mismatches are the rare path)
 
-  if (job.context != nullptr) job.context->ensure_workers(num_threads);
+  job.context->ensure_workers(num_threads);
 
   auto worker = [&](std::size_t slot) {
     PML_OBS_SPAN("verify.worker");
-    // Pooled path: rebind this slot's warmed simulator (zero allocation
-    // for same-shaped modules); otherwise bind a per-call local.
-    sim::BatchSimulatorT<L> local;
-    sim::BatchSimulatorT<L>& bsim =
-        job.context != nullptr ? pooled_batch<L>(job.context->worker(slot))
-                               : local;
+    // Rebind this slot's warmed simulator (zero allocation for
+    // same-shaped modules).
+    sim::BatchSimulatorT<L>& bsim = pooled_batch<L>(job.context->worker(slot));
     if (bsim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
     bsim.rebind(*job.module, job.lv);
-    std::uint64_t lane_values[kLanes];
     for (;;) {
       if (mismatch_count.load(std::memory_order_relaxed) >=
           job.max_mismatches) {
@@ -128,28 +148,17 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
       const std::size_t count = std::min(kLanes, num_samples - begin);
       PML_OBS_COUNT("sim.batch.live_lanes", count);
       bsim.set_active_lanes(count);
-      for (std::size_t j = 0; j < ports.size(); ++j) {
-        for (std::size_t lane = 0; lane < count; ++lane) {
-          lane_values[lane] = static_cast<std::uint64_t>(
-              workload.feature_codes[begin + lane][j]);
-        }
-        bsim.set_port(*ports[j], lane_values, count);
-      }
-      if (job.sequential) {
-        for (int c = 0; c < job.cycles_per_inference; ++c) bsim.step();
-      } else {
-        bsim.propagate();
-      }
+      run_inference(bsim, job, count,
+                    [begin](std::size_t l) { return begin + l; });
       for (std::size_t lane = 0; lane < count; ++lane) {
         const int predicted =
             static_cast<int>(bsim.port_unsigned(*job.class_port, lane));
         const std::size_t s = begin + lane;
-        if (predicted != workload.expected_class[s]) {
+        if (predicted != expected[s]) {
           mismatch_count.fetch_add(1, std::memory_order_relaxed);
           const std::lock_guard<std::mutex> lock(mu);
           if (!result.first.has_value() || s < result.first->sample) {
-            result.first =
-                VerifyMismatch{s, predicted, workload.expected_class[s]};
+            result.first = VerifyMismatch{s, predicted, expected[s]};
           }
         }
       }
@@ -185,30 +194,8 @@ struct ReplayBatch {
   [[nodiscard]] std::size_t rounds() const { return len(0); }
 };
 
-/// Drive every lane's round-`r` sample into `sim` (either engine) and run
-/// one inference.
-template <class Sim>
-void run_replay_round(Sim& sim, const ActivityJob& job,
-                      const ReplayBatch& batch, std::size_t r) {
-  std::uint64_t lane_values[Sim::kLanes];
-  for (std::size_t j = 0; j < job.ports->size(); ++j) {
-    for (std::size_t lane = 0; lane < batch.lanes; ++lane) {
-      lane_values[lane] = static_cast<std::uint64_t>(
-          (*job.samples)[batch.sample(lane, r)][j]);
-    }
-    sim.set_port(*(*job.ports)[j], lane_values, batch.lanes);
-  }
-  if (job.sequential) {
-    for (int c = 0; c < job.cycles_per_inference; ++c) sim.step();
-  } else if constexpr (requires { sim.settle(); }) {
-    sim.settle();
-  } else {
-    sim.propagate();
-  }
-}
-
 /// Replay counted rounds [r0, r1) of `batch` and add their counts to
-/// `local`.  The lanes first warm up on the zero-delay engine, from reset,
+/// `stats`.  The lanes first warm up on the zero-delay engine, from reset,
 /// on the samples of round max(r0, 1) - 1, and the event engine adopts
 /// that settled state.  `warm_state` / `end_state` (either may be null)
 /// receive the lane state after the warm-up and after round r1 - 1, for
@@ -219,11 +206,13 @@ void run_replay_segment(sim::BatchSimulatorT<L>& zsim,
                         const ActivityJob& job, const ReplayBatch& batch,
                         std::size_t r0, std::size_t r1,
                         std::uint64_t* warm_state, std::uint64_t* end_state,
-                        sim::ActivityStats& local) {
+                        sim::ActivityStats& stats) {
   zsim.reset();
   zsim.set_active_lanes(batch.lanes);
   PML_OBS_COUNT("sim.batch.live_lanes", batch.lanes);
-  run_replay_round(zsim, job, batch, r0 == 0 ? 0 : r0 - 1);
+  const std::size_t warm = r0 == 0 ? 0 : r0 - 1;
+  run_inference(zsim, job, batch.lanes,
+                [&](std::size_t l) { return batch.sample(l, warm); });
   esim.import_state(zsim);
   if (warm_state != nullptr) zsim.export_state(warm_state);
 
@@ -235,9 +224,10 @@ void run_replay_segment(sim::BatchSimulatorT<L>& zsim,
       if (r < batch.len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
     }
     esim.set_count_mask_chunks(mask);
-    run_replay_round(esim, job, batch, r);
+    run_inference(esim, job, batch.lanes,
+                  [&](std::size_t l) { return batch.sample(l, r); });
   }
-  local.accumulate(esim.activity());
+  stats.accumulate(esim.activity());
   if (end_state != nullptr) esim.export_state(end_state);
 }
 
@@ -268,37 +258,26 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   // Each segment writes its own slots, so workers need no locking.
   const std::size_t words =
       sim::BatchEventSimulatorT<L>::state_words(*job.module, *job.lv);
-  std::vector<std::uint64_t> local_seams;
-  std::vector<std::uint64_t>& seams =
-      job.context != nullptr ? job.context->seam_states : local_seams;
+  std::vector<std::uint64_t>& seams = job.context->seam_states;
   seams.assign(2 * num_batches * (segments - 1) * words, 0);
   const auto seam = [&](std::size_t b, std::size_t k, bool end) {
     return seams.data() + ((b * (segments - 1) + k - 1) * 2 + end) * words;
   };
 
-  // One stats slot per worker; summed after the join.  Addition of
-  // integer counts is commutative, so the total is independent of which
-  // worker claims which segment.  Pooled slots live in the context
-  // (reused capacity); otherwise a per-call vector.  ActivityStats is
-  // plain scalar counters, so the slots are shared by every backend.
+  // One stats slot per worker, in the context's worker slots; summed
+  // after the join.  Addition of integer counts is commutative, so the
+  // total is independent of which worker claims which segment.
+  // ActivityStats is plain scalar counters, so the slots are shared by
+  // every backend.
   const std::size_t nets = job.module->num_nets();
-  std::vector<sim::ActivityStats> local_partials;
-  auto partial = [&](std::size_t slot) -> sim::ActivityStats& {
-    return job.context != nullptr ? job.context->worker(slot).activity
-                                  : local_partials[slot];
-  };
 
   // One replay with `segs` segments per batch; returns the slots used.
   const auto replay = [&](std::size_t segs) {
     const std::size_t items = num_batches * segs;
     const std::size_t num_threads = clamp_threads(job.num_threads, items);
-    if (job.context != nullptr) {
-      job.context->ensure_workers(num_threads);
-    } else {
-      local_partials.resize(num_threads);
-    }
+    job.context->ensure_workers(num_threads);
     for (std::size_t t = 0; t < num_threads; ++t) {
-      sim::ActivityStats& p = partial(t);
+      sim::ActivityStats& p = job.context->worker(t).activity;
       p.net_toggles.assign(nets, 0);
       p.net_functional.assign(nets, 0);
       p.dff_clock_events = 0;
@@ -307,19 +286,14 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
     std::atomic<std::size_t> next_item{0};
     auto worker = [&](std::size_t slot) {
       PML_OBS_SPAN("activity.worker");
-      // Pooled path: rebind this slot's warmed engines (zero allocation
-      // for same-shaped modules); otherwise bind per-call locals.
-      sim::BatchSimulatorT<L> local_zsim;
-      sim::BatchEventSimulatorT<L> local_esim;
-      sim::BatchSimulatorT<L>& zsim =
-          job.context != nullptr ? pooled_batch<L>(job.context->worker(slot))
-                                 : local_zsim;
-      sim::BatchEventSimulatorT<L>& esim =
-          job.context != nullptr ? pooled_event<L>(job.context->worker(slot))
-                                 : local_esim;
+      // Rebind this slot's warmed engines (zero allocation for
+      // same-shaped modules).
+      EvalContext::WorkerScratch& ws = job.context->worker(slot);
+      sim::BatchSimulatorT<L>& zsim = pooled_batch<L>(ws);
+      sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(ws);
       if (esim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
       zsim.rebind(*job.module, job.lv);
-      esim.rebind(*job.module, *job.lib, job.time_quantum_ms, job.lv);
+      esim.rebind(*job.module, *job.lib, kTimeQuantumMs, job.lv);
       for (;;) {
         // Cancellation checkpoint between segments (see verify loop).
         if (job.cancel != nullptr) job.cancel->check("activity.batch");
@@ -341,7 +315,7 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
                               (k + 1) * rounds / segs,
                               k > 0 ? seam(b, k, false) : nullptr,
                               k + 1 < segs ? seam(b, k + 1, true) : nullptr,
-                              partial(slot));
+                              ws.activity);
       }
     };
     util::TaskPool::instance().run_group(num_threads, "activity.worker",
@@ -363,16 +337,14 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
     PML_OBS_COUNT("sim.batch_event.seam_fallbacks", 1);
     slots = replay(1);
   }
-  if (job.trace != nullptr) {
-    job.trace->segments = segments;
-    job.trace->seam_fallbacks = seams_hold ? 0 : 1;
-  }
 
   out.net_toggles.assign(nets, 0);
   out.net_functional.assign(nets, 0);
   out.dff_clock_events = 0;
   out.cycles = 0;
-  for (std::size_t t = 0; t < slots; ++t) out.accumulate(partial(t));
+  for (std::size_t t = 0; t < slots; ++t) {
+    out.accumulate(job.context->worker(t).activity);
+  }
 }
 
 // --- fault campaign ---------------------------------------------------------
@@ -382,7 +354,7 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
   // Lane 0 carries the golden reference, so kLanes - 1 variants ride per
   // batch (63 scalar, 255 AVX2, 511 AVX-512).
   constexpr std::size_t kVariantLanes = L::kWidth - 1;
-  const CircuitWorkload& workload = *job.workload;
+  const Rows& rows = *job.rows;
   const std::vector<const netlist::Port*>& ports = *job.ports;
   const std::vector<FaultSet>& fault_sets = *job.fault_sets;
   const std::size_t n = job.num_samples;
@@ -423,15 +395,15 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
       std::fill(miscount, miscount + count + 1, std::size_t{0});
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < ports.size(); ++j) {
-          bsim.set_port_broadcast(*ports[j], static_cast<std::uint64_t>(
-                                                 workload.feature_codes[i][j]));
+          bsim.set_port_broadcast(*ports[j],
+                                  static_cast<std::uint64_t>(rows[i][j]));
         }
         if (job.sequential) {
           for (int c = 0; c < job.cycles_per_inference; ++c) bsim.step();
         } else {
           bsim.propagate();
         }
-        const int expected = workload.expected_class[i];
+        const int expected = (*job.expected_class)[i];
         for (std::size_t lane = 0; lane <= count; ++lane) {
           const int predicted =
               static_cast<int>(bsim.port_unsigned(*job.class_port, lane));
@@ -455,9 +427,7 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
 template <class L>
 void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
   constexpr std::size_t kLanes = L::kWidth;
-  const std::vector<std::vector<std::int64_t>>& samples = *job.samples;
-  const std::vector<const netlist::Port*>& ports = *job.ports;
-  const std::size_t num_samples = samples.size();
+  const std::size_t num_samples = job.rows->size();
   const std::size_t num_batches = (num_samples + kLanes - 1) / kLanes;
 
   result.lanes = kLanes;
@@ -465,7 +435,6 @@ void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
   result.net_toggles.assign(job.module->num_nets(), 0);
 
   sim::BatchSimulatorT<L> bsim(*job.module, job.lv);
-  std::uint64_t lane_values[kLanes];
   for (std::size_t b = 0; b < num_batches; ++b) {
     if (job.cancel != nullptr) job.cancel->check("probe.batch");
     const std::size_t begin = b * kLanes;
@@ -475,18 +444,8 @@ void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
     // backend_probe.hpp).
     bsim.reset();
     bsim.set_active_lanes(count);
-    for (std::size_t j = 0; j < ports.size(); ++j) {
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        lane_values[lane] =
-            static_cast<std::uint64_t>(samples[begin + lane][j]);
-      }
-      bsim.set_port(*ports[j], lane_values, count);
-    }
-    if (job.sequential) {
-      for (int c = 0; c < job.cycles_per_inference; ++c) bsim.step();
-    } else {
-      bsim.propagate();
-    }
+    run_inference(bsim, job, count,
+                  [begin](std::size_t l) { return begin + l; });
     for (std::size_t lane = 0; lane < count; ++lane) {
       result.class_values[begin + lane] =
           bsim.port_unsigned(*job.class_port, lane);

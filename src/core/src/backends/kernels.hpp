@@ -1,18 +1,20 @@
 #pragma once
 // Type-erased kernel table for the SIMD lane-word backends.
 //
-// The core drivers (verify_workload, collect_activity_into,
-// run_fault_campaign, probe_batch_backend) keep all validation, port
-// resolution, and levelization width-agnostic, then package the prepared
-// inputs into a Job struct and call through this table.  Each backend TU
-// (backend_u64.cpp always; backend_avx2.cpp / backend_avx512.cpp compiled
-// with the matching -m flags) instantiates the shared templated worker
-// loops from batch_loops.hpp on its LaneWord and exposes them as plain
-// function pointers — so no TU without the right -m flag ever names a
-// vector type, and the compiler is free to use vector instructions
-// everywhere inside a backend TU.
+// Every batch driver (verify_workload, collect_activity_into,
+// run_fault_campaign, probe_batch_backend) runs one width-agnostic
+// preamble, prepare_job: it validates the feature rows, resolves the
+// feature ports and the levelization, and fills the shared JobBase.  The
+// driver adds its own checks and fields, then calls through this table.
+// Each backend TU (backend_u64.cpp always; backend_avx2.cpp /
+// backend_avx512.cpp compiled with the matching -m flags) instantiates
+// the shared templated worker loops from batch_loops.hpp on its LaneWord
+// and exposes them as plain function pointers — so no TU without the
+// right -m flag ever names a vector type, and the compiler is free to use
+// vector instructions everywhere inside a backend TU.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -29,56 +31,71 @@
 
 namespace pml::core::backends {
 
+using Rows = std::vector<std::vector<std::int64_t>>;
+
 /// Inputs shared by every kernel: the module, its levelization, the
-/// resolved feature ports, and the clocking protocol.
+/// resolved feature ports, the sample-major feature rows, and the
+/// clocking protocol.
 struct JobBase {
   const netlist::Module* module = nullptr;
   std::shared_ptr<const sim::Levelization> lv;
   const std::vector<const netlist::Port*>* ports = nullptr;
+  const Rows* rows = nullptr;
   bool sequential = false;
   int cycles_per_inference = 0;
+  /// Raw thread request (0 = the pool's width); each kernel clamps it to
+  /// its own work-item count, which depends on the backend's lane width.
+  std::size_t num_threads = 0;
   const util::CancellationToken* cancel = nullptr;
 };
 
+/// The verify and activity kernels run on `context`'s worker slots,
+/// which the driver always supplies (the caller's or a call-local one).
 struct VerifyJob : JobBase {
-  const CircuitWorkload* workload = nullptr;
+  const std::vector<int>* expected_class = nullptr;
   const netlist::Port* class_port = nullptr;
   std::size_t max_mismatches = 0;
-  /// Raw thread request (0 = hardware concurrency); the kernel clamps to
-  /// its own batch count, which depends on the backend's lane width.
-  std::size_t num_threads = 0;
   EvalContext* context = nullptr;
 };
 
 struct ActivityJob : JobBase {
   const cells::CellLibrary* lib = nullptr;
-  double time_quantum_ms = 0;
-  const std::vector<std::vector<std::int64_t>>* samples = nullptr;
   std::size_t num_samples = 0;
   std::size_t chunk_samples = 0;
   /// ceil(num_samples / chunk_samples): one lane stream per chunk.
   std::size_t num_chunks = 0;
-  std::size_t num_threads = 0;
   EvalContext* context = nullptr;
   /// Forced counted-round segments per batch; 0 = auto (see
   /// replay_segments in batch_loops.hpp).
   std::size_t segments = 0;
-  /// Where the schedule actually taken is reported; may be null.
-  detail::ReplayTrace* trace = nullptr;
 };
 
 struct FaultJob : JobBase {
-  const CircuitWorkload* workload = nullptr;
+  const std::vector<int>* expected_class = nullptr;
   const netlist::Port* class_port = nullptr;
   const std::vector<FaultSet>* fault_sets = nullptr;
   std::size_t num_samples = 0;
-  std::size_t num_threads = 0;
 };
 
 struct ProbeJob : JobBase {
-  const std::vector<std::vector<std::int64_t>>* samples = nullptr;
   const netlist::Port* class_port = nullptr;
 };
+
+/// The drivers' shared preamble.  Rejects empty or ragged `rows`, resolves
+/// the "x0".."x{m-1}" feature ports into `ports` and the levelization
+/// (derived from `module` when `lv` is null), and fills `job`'s shared
+/// fields; `num_threads` is left to the driver.  Errors are
+/// std::invalid_argument prefixed with `who`.
+void prepare_job(JobBase& job, const char* who, const netlist::Module& module,
+                 int cycles_per_inference, const Rows& rows,
+                 std::vector<const netlist::Port*>& ports,
+                 std::shared_ptr<const sim::Levelization> lv,
+                 const util::CancellationToken* cancel);
+
+/// The module's "class" output; throws std::invalid_argument prefixed
+/// with `who` when it is missing.
+[[nodiscard]] const netlist::Port* class_port(const netlist::Module& module,
+                                              const char* who);
 
 /// One backend's kernel table.  `lanes` is the batch width the kernels
 /// shard work by (64 / 256 / 512).

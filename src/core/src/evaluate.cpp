@@ -118,13 +118,12 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
         options.optimize.flow == opt::kBestFlow ||
         opt::flow_recipe(options.optimize.flow).cost_driven;
     std::unique_ptr<opt::SwitchingEnergyCost> cost;
-    if (wants_cost && options.flow_probe_samples > 0) {
-      opt::ProbeWorkload probe =
-          make_probe_workload(module, cycles_per_inference, workload,
-                              options.flow_probe_samples);
+    if (wants_cost) {
+      opt::ProbeWorkload probe = make_probe_workload(
+          module, cycles_per_inference, workload, kCostProbeSamples);
       if (!probe.samples.empty()) {
         cost = std::make_unique<opt::SwitchingEnergyCost>(
-            lib, std::move(probe), options.time_quantum_ms);
+            lib, std::move(probe), kTimeQuantumMs);
       }
     }
     opt::OptReport opt_rep =
@@ -158,7 +157,9 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
   // Batched bit-parallel simulation sharded across threads; the
   // scalar CycleSimulator remains available as the reference and for fault
   // injection, but the hot verification gate runs on sim::BatchSimulator.
-  VerifyOptions vopts = options.verify;
+  VerifyOptions vopts;
+  vopts.num_threads = options.verify.num_threads;
+  vopts.max_mismatches = options.verify.max_mismatches;
   vopts.levelization = lv;
   vopts.context = &ctx;
   vopts.cancel = options.cancel;
@@ -204,7 +205,6 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
       std::min(options.power_samples, workload.feature_codes.size());
   ActivityOptions aopts;
   aopts.num_threads = options.power_threads;
-  aopts.time_quantum_ms = options.time_quantum_ms;
   aopts.levelization = lv;
   aopts.context = &ctx;
   aopts.cancel = options.cancel;

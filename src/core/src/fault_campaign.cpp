@@ -48,16 +48,16 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
                                        const CircuitWorkload& workload,
                                        const std::vector<FaultSet>& fault_sets,
                                        const FaultCampaignOptions& options) {
-  if (workload.feature_codes.empty() ||
-      workload.feature_codes.size() != workload.expected_class.size()) {
+  constexpr const char* kWho = "run_fault_campaign";
+  if (workload.feature_codes.size() != workload.expected_class.size()) {
     throw std::invalid_argument("run_fault_campaign: bad workload");
   }
-  const std::size_t num_features = workload.feature_codes[0].size();
-  for (const auto& row : workload.feature_codes) {
-    if (row.size() != num_features) {
-      throw std::invalid_argument("run_fault_campaign: ragged feature_codes");
-    }
-  }
+  std::vector<const netlist::Port*> ports;
+  backends::FaultJob job;
+  backends::prepare_job(job, kWho, module, cycles_per_inference,
+                        workload.feature_codes, ports, options.levelization,
+                        options.cancel);
+  job.class_port = backends::class_port(module, kWho);
   if (fault_sets.empty()) {
     throw std::invalid_argument("run_fault_campaign: no fault sets");
   }
@@ -66,36 +66,18 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
   if (n == 0) {
     throw std::invalid_argument("run_fault_campaign: zero samples");
   }
-  const auto ports = feature_ports(module, num_features);
-  const netlist::Port* class_port = module.find_output("class");
-  if (class_port == nullptr) {
-    throw std::invalid_argument("run_fault_campaign: missing 'class' output");
-  }
-  const std::shared_ptr<const sim::Levelization> lv =
-      options.levelization != nullptr ? options.levelization
-                                      : sim::levelize_shared(module);
-
-  backends::FaultJob job;
-  job.module = &module;
-  job.lv = lv;
-  job.ports = &ports;
-  job.sequential = !lv->dffs.empty();
-  job.cycles_per_inference = cycles_per_inference;
-  job.cancel = options.cancel;
-  job.workload = &workload;
-  job.class_port = class_port;
+  job.num_threads = options.num_threads;
+  job.expected_class = &workload.expected_class;
   job.fault_sets = &fault_sets;
   job.num_samples = n;
-  job.num_threads = options.num_threads;
 
   FaultCampaignResult result;
   result.variants.assign(fault_sets.size(), FaultVariantResult{0, n});
   result.golden.samples = n;
   // How many variants ride per pass (kLanes - 1) belongs to the selected
   // SIMD backend; per-variant counts are independent of the packing.
-  const backends::Kernels& k =
-      backends::kernels_for(sim::resolve_backend(options.backend));
-  k.fault(job, result);
+  backends::kernels_for(sim::resolve_backend(options.backend))
+      .fault(job, result);
   return result;
 }
 

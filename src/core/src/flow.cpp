@@ -1,5 +1,6 @@
 #include "pml/core/flow.hpp"
 
+#include "pml/core/activity.hpp"
 #include "pml/ml/metrics.hpp"
 #include "pml/opt/pass_manager.hpp"
 #include "pml/quant/formats.hpp"
@@ -72,7 +73,6 @@ SequentialSvmDesign design_sequential_svm(
   // so the circuit is generated raw and optimized here, with the cost
   // model probing the real workload.
   EvaluateOptions eopts = options.evaluate;
-  if (!options.flow.empty()) eopts.optimize.flow = options.flow;
   const bool cost_driven =
       eopts.optimize.enabled &&
       (eopts.optimize.flow == opt::kBestFlow ||
@@ -84,13 +84,13 @@ SequentialSvmDesign design_sequential_svm(
   if (cost_driven) {
     opt::ProbeWorkload probe = make_probe_workload(
         design.circuit.module, design.circuit.cycles_per_inference, wl,
-        eopts.flow_probe_samples);
+        kCostProbeSamples);
     if (probe.samples.empty()) {
       design.circuit.opt = opt::optimize(design.circuit.module,
                                          eopts.optimize);
     } else {
       const opt::SwitchingEnergyCost cost(lib, std::move(probe),
-                                          eopts.time_quantum_ms);
+                                          kTimeQuantumMs);
       design.circuit.opt =
           opt::optimize(design.circuit.module, eopts.optimize, &cost);
     }

@@ -81,7 +81,7 @@ Table1Result run_table1(const cells::CellLibrary& lib,
     fopts.seed = options.train_seed;
     fopts.evaluate = with_evaluate(fopts.evaluate);
     fopts.precision.num_threads = options.num_threads;
-    fopts.flow = options.flow;
+    if (!options.flow.empty()) fopts.evaluate.optimize.flow = options.flow;
     ParallelSvmBaselineOptions p2;
     p2.seed = options.train_seed;
     p2.evaluate = with_evaluate(p2.evaluate);

@@ -1,12 +1,12 @@
 #include "pml/core/verify.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "backends/kernels.hpp"
 #include "pml/core/eval_context.hpp"
 #include "pml/sim/backend.hpp"
-#include "pml/sim/batch_sim.hpp"
 
 namespace pml::core {
 
@@ -35,49 +35,31 @@ VerifyResult verify_workload(const netlist::Module& module,
                              int cycles_per_inference,
                              const CircuitWorkload& workload,
                              const VerifyOptions& options) {
-  if (workload.feature_codes.empty() ||
-      workload.feature_codes.size() != workload.expected_class.size()) {
+  constexpr const char* kWho = "verify_workload";
+  if (workload.feature_codes.size() != workload.expected_class.size()) {
     throw std::invalid_argument("verify_workload: bad workload");
   }
-  const std::size_t num_features = workload.feature_codes[0].size();
-  for (const auto& row : workload.feature_codes) {
-    if (row.size() != num_features) {
-      throw std::invalid_argument("verify_workload: ragged feature_codes");
-    }
-  }
-  // Resolve feature ports into the context's pooled vector when pooling.
-  std::vector<const netlist::Port*> local_ports;
-  std::vector<const netlist::Port*>& ports =
-      options.context != nullptr ? options.context->ports : local_ports;
-  feature_ports_into(ports, module, num_features);
-  const netlist::Port* class_port = module.find_output("class");
-  if (class_port == nullptr) {
-    throw std::invalid_argument("verify_workload: missing 'class' output");
-  }
-  const std::shared_ptr<const sim::Levelization> lv =
-      options.levelization != nullptr ? options.levelization
-                                      : sim::levelize_shared(module);
-
+  // The caller's context, else a call-local one (built only then: its
+  // constructor allocates, and the pooled path must not).
+  std::optional<EvalContext> local;
+  EvalContext& ctx =
+      options.context != nullptr ? *options.context : local.emplace();
   backends::VerifyJob job;
-  job.module = &module;
-  job.lv = lv;
-  job.ports = &ports;
-  job.sequential = !lv->dffs.empty();
-  job.cycles_per_inference = cycles_per_inference;
-  job.cancel = options.cancel;
-  job.workload = &workload;
-  job.class_port = class_port;
-  job.max_mismatches = options.max_mismatches;
+  backends::prepare_job(job, kWho, module, cycles_per_inference,
+                        workload.feature_codes, ctx.ports,
+                        options.levelization, options.cancel);
   job.num_threads = options.num_threads;
-  job.context = options.context;
+  job.expected_class = &workload.expected_class;
+  job.class_port = backends::class_port(module, kWho);
+  job.max_mismatches = options.max_mismatches;
+  job.context = &ctx;
 
   VerifyResult result;
   result.samples = workload.feature_codes.size();
   // The batch width (and so the thread clamp and worker loop) belongs to
   // the selected SIMD backend; everything above is width-agnostic.
-  const backends::Kernels& k =
-      backends::kernels_for(sim::resolve_backend(options.backend));
-  k.verify(job, result);
+  backends::kernels_for(sim::resolve_backend(options.backend))
+      .verify(job, result);
   return result;
 }
 

@@ -77,7 +77,6 @@ class Module {
   [[nodiscard]] const std::vector<std::string>& group_names() const {
     return group_names_;
   }
-  [[nodiscard]] GroupId current_group() const { return current_group_; }
 
   // --- cells --------------------------------------------------------------
   /// Create a combinational gate driving a fresh net; returns that net.

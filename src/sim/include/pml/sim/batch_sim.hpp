@@ -104,7 +104,6 @@ class BatchSimulatorT : public LaneState<BatchSimulatorT<L, O>, L> {
     } else {
       toggles_.assign(module.num_nets(), 0);
       std::fill(active_mask_, active_mask_ + kChunks, ~std::uint64_t{0});
-      active_lanes_ = kLanes;
     }
     inputs_dirty_ = false;
     reset();
@@ -133,13 +132,7 @@ class BatchSimulatorT : public LaneState<BatchSimulatorT<L, O>, L> {
     if (count == 0 || count > kLanes) {
       throw std::out_of_range("set_active_lanes: count out of [1, kLanes]");
     }
-    active_lanes_ = count;
     prefix_lane_mask(count, active_mask_, kChunks);
-  }
-  [[nodiscard]] std::size_t active_lanes() const
-    requires(!kStuckAt)
-  {
-    return active_lanes_;
   }
 
   // --- fault control (stuck-at overlay) -------------------------------------
@@ -290,16 +283,6 @@ class BatchSimulatorT : public LaneState<BatchSimulatorT<L, O>, L> {
   }
 
   // --- observation ----------------------------------------------------------
-  /// Transpose a port across lanes: out[L] = port value in lane L for all
-  /// active lanes (out must hold active_lanes() entries).
-  void port_unsigned_all(const netlist::Port& port, std::uint64_t* out) const
-    requires(!kStuckAt)
-  {
-    for (std::size_t lane = 0; lane < active_lanes_; ++lane) {
-      out[lane] = this->port_unsigned(port, lane);
-    }
-  }
-
   /// Cumulative zero-delay toggles per net since construction/reset,
   /// summed over active lanes (equals the sum of CycleSimulator toggle
   /// counts over the lanes' sample histories).
@@ -325,7 +308,6 @@ class BatchSimulatorT : public LaneState<BatchSimulatorT<L, O>, L> {
   // kToggles state.
   std::vector<std::uint64_t> toggles_;
   std::uint64_t active_mask_[kChunks] = {};
-  std::size_t active_lanes_ = kLanes;
   // kStuckAt state.
   std::vector<std::uint64_t> force0_;        ///< stuck-at-0 lane mask per net
   std::vector<std::uint64_t> force1_;        ///< stuck-at-1 lane mask per net

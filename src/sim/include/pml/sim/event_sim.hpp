@@ -93,7 +93,6 @@ class EventSimulator {
     }
   };
 
-  void apply_change(netlist::NetId net, bool value, bool count);
   void run_events(bool count);
   void full_settle_zero_delay();
 

@@ -103,13 +103,6 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   }
 }
 
-[[nodiscard]] inline std::vector<SwarOp> swar_comb_ops(
-    const netlist::Module& module, const Levelization& lv) {
-  std::vector<SwarOp> ops;
-  swar_comb_ops_into(ops, module, lv);
-  return ops;
-}
-
 /// Every cell, indexed by cell id (BatchEventSimulatorT's wake table).
 inline void swar_cell_ops_into(std::vector<SwarOp>& ops,
                                const netlist::Module& module) {
@@ -118,13 +111,6 @@ inline void swar_cell_ops_into(std::vector<SwarOp>& ops,
   for (const netlist::Cell& c : module.cells()) {
     ops.push_back(flatten_cell(c));
   }
-}
-
-[[nodiscard]] inline std::vector<SwarOp> swar_cell_ops(
-    const netlist::Module& module) {
-  std::vector<SwarOp> ops;
-  swar_cell_ops_into(ops, module);
-  return ops;
 }
 
 inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
@@ -137,13 +123,6 @@ inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
     dffs.push_back(SwarDffOp{c.in[0], c.out,
                              c.dff_init ? ~std::uint64_t{0} : 0});
   }
-}
-
-[[nodiscard]] inline std::vector<SwarDffOp> swar_dff_ops(
-    const netlist::Module& module, const Levelization& lv) {
-  std::vector<SwarDffOp> dffs;
-  swar_dff_ops_into(dffs, module, lv);
-  return dffs;
 }
 
 /// Two's complement reading of a `bits`-wide raw port value.

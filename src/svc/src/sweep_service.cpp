@@ -77,10 +77,8 @@ void digest_workload(obs::Fnv1a& h, const core::CircuitWorkload& w) {
 // excluded too.
 void digest_options(obs::Fnv1a& h, const core::EvaluateOptions& o) {
   h.update_u64(o.power_samples);
-  h.update_f64(o.time_quantum_ms);
   h.update_u64(o.require_bit_exact ? 1 : 0);
   h.update_u64(o.verify.max_mismatches);
-  h.update_u64(o.flow_probe_samples);
   h.update_u64(o.optimize.enabled ? 1 : 0);
   h.update_u64(o.optimize.flow.size());
   h.update(o.optimize.flow);
@@ -153,7 +151,7 @@ std::uint64_t SweepService::cache_key(const SweepRequest& request) {
   obs::Fnv1a h;
   // Version tag: bump when the digest schema or evaluation semantics
   // change, so stale keys from older builds can never collide.
-  h.update("pml.svc.v1");
+  h.update("pml.svc.v2");
   h.update_u64(static_cast<std::uint64_t>(
       static_cast<std::int64_t>(request.cycles_per_inference)));
   h.update_u64(request.flow.size());

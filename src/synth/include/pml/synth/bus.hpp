@@ -49,10 +49,4 @@ struct Bus {
 /// Bitwise invert.
 [[nodiscard]] Bus invert(netlist::Module& m, const Bus& a);
 
-/// Evaluate a bus against a value lookup (testing helper).
-[[nodiscard]] std::int64_t bus_signed_value(
-    const Bus& a, const std::vector<std::uint8_t>& net_values);
-[[nodiscard]] std::uint64_t bus_unsigned_value(
-    const Bus& a, const std::vector<std::uint8_t>& net_values);
-
 }  // namespace pml::synth

@@ -67,26 +67,4 @@ Bus invert(netlist::Module& m, const Bus& a) {
   return out;
 }
 
-std::int64_t bus_signed_value(const Bus& a,
-                              const std::vector<std::uint8_t>& net_values) {
-  std::uint64_t raw = 0;
-  for (int i = 0; i < a.width(); ++i) {
-    if (net_values[a[i]]) raw |= (std::uint64_t{1} << i);
-  }
-  const int bits = a.width();
-  if (bits < 64 && (raw & (std::uint64_t{1} << (bits - 1)))) {
-    raw |= ~((std::uint64_t{1} << bits) - 1);
-  }
-  return static_cast<std::int64_t>(raw);
-}
-
-std::uint64_t bus_unsigned_value(const Bus& a,
-                                 const std::vector<std::uint8_t>& net_values) {
-  std::uint64_t raw = 0;
-  for (int i = 0; i < a.width(); ++i) {
-    if (net_values[a[i]]) raw |= (std::uint64_t{1} << i);
-  }
-  return raw;
-}
-
 }  // namespace pml::synth

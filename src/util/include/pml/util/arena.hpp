@@ -44,13 +44,6 @@ class Arena {
     return reinterpret_cast<T*>(raw(count * sizeof(T), alignof(T)));
   }
 
-  /// Total bytes reserved across all blocks (capacity, not live use).
-  [[nodiscard]] std::size_t bytes_reserved() const noexcept {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-
  private:
   struct Block {
     std::unique_ptr<std::byte[]> data;

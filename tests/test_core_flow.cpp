@@ -193,7 +193,7 @@ TEST(FlowSelection, DesignFlowHonorsTheFlowOption) {
   opts.c_grid = {1.0};
   opts.bias_calibration_rounds = 0;
   opts.evaluate.power_samples = 8;
-  opts.flow = "energy";
+  opts.evaluate.optimize.flow = "energy";
   const SequentialSvmDesign design =
       design_sequential_svm(data.train, data.test, lib, opts);
   EXPECT_EQ(design.hw.opt_flow, "energy");

@@ -10,7 +10,8 @@
 //    public engine API; see warmup_state_check.hpp);
 //  - the merged ActivityStats are identical at every segment count x
 //    chunk size x ragged sample count (the segment count is pinned
-//    through the internal detail::collect_activity_scheduled);
+//    through the internal detail::collect_activity_scheduled, and the
+//    schedule taken is read from the sim.batch_event counters);
 //  - a netlist whose state depends on more than the last input (a
 //    free-running toggle flop) takes the seam fallback and still matches
 //    the unsplit replay.
@@ -227,11 +228,23 @@ const cells::CellLibrary& library() {
   return lib;
 }
 
-detail::ReplayTrace replay(sim::ActivityStats& out, const Design& d,
-                           const CircuitWorkload& wl, std::size_t n,
-                           const ActivityOptions& opts, std::size_t segments) {
-  return detail::collect_activity_scheduled(out, d.module, library(),
-                                            d.cycles, wl, n, opts, segments);
+/// The schedule a replay took, as the counter deltas it left.
+struct Schedule {
+  std::uint64_t batches = 0;  ///< both passes when the seams fell back
+  std::uint64_t segments = 0;
+  std::uint64_t seam_fallbacks = 0;
+};
+
+Schedule replay(sim::ActivityStats& out, const Design& d,
+                const CircuitWorkload& wl, std::size_t n,
+                const ActivityOptions& opts, std::size_t segments) {
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  detail::collect_activity_scheduled(out, d.module, library(), d.cycles, wl,
+                                     n, opts, segments);
+  const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+  return {delta.counter_value("sim.batch_event.batches"),
+          delta.counter_value("sim.batch_event.segments"),
+          delta.counter_value("sim.batch_event.seam_fallbacks")};
 }
 
 TEST(ReplaySegments, ZeroDelayWarmupMatchesEventWarmup) {
@@ -293,13 +306,21 @@ TEST(ReplaySegments, CountsIgnoreSegmentsAndChunking) {
       for (const std::size_t segments : {2u, 3u, 4u}) {
         SCOPED_TRACE(segments);
         sim::ActivityStats got;
-        const detail::ReplayTrace trace =
-            replay(got, d, wl, c.n, opts, segments);
+        const Schedule s = replay(got, d, wl, c.n, opts, segments);
         expect_stats_equal(got, ref);
         // Clamped to the counted rounds of the shortest batch: every
-        // batch here counts `chunk` rounds.
-        EXPECT_EQ(trace.segments, std::min(segments, c.chunk));
-        if (d.boundary_state) EXPECT_EQ(trace.seam_fallbacks, 0u);
+        // batch here counts `chunk` rounds.  A fallback re-runs every
+        // batch unsplit, one segment each, and counts its batches again.
+        const std::uint64_t per_batch = std::min(segments, c.chunk);
+        EXPECT_GT(s.batches, 0u);
+        EXPECT_LE(s.seam_fallbacks, 1u);
+        if (s.seam_fallbacks == 0) {
+          EXPECT_EQ(s.segments, s.batches * per_batch);
+        } else {
+          EXPECT_EQ(s.batches % 2, 0u);
+          EXPECT_EQ(s.segments, s.batches / 2 * (per_batch + 1));
+        }
+        if (d.boundary_state) EXPECT_EQ(s.seam_fallbacks, 0u);
       }
     }
   }
@@ -315,16 +336,12 @@ TEST(ReplaySegments, HistoryDependentStateTakesTheSeamFallback) {
   sim::ActivityStats ref;
   (void)replay(ref, d, wl, 30, opts, 1);
 
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
   sim::ActivityStats got;
-  const detail::ReplayTrace trace =
-      replay(got, d, wl, 30, opts, 2);
-  const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
-  EXPECT_EQ(trace.segments, 2u);
-  EXPECT_EQ(trace.seam_fallbacks, 1u);
-  EXPECT_EQ(delta.counter_value("sim.batch_event.seam_fallbacks"), 1u);
+  const Schedule s = replay(got, d, wl, 30, opts, 2);
+  EXPECT_EQ(s.seam_fallbacks, 1u);
   // The split pass (one batch x 2 segments), then the unsplit re-run.
-  EXPECT_EQ(delta.counter_value("sim.batch_event.segments"), 3u);
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.segments, 3u);
   expect_stats_equal(got, ref);
   EXPECT_EQ(got.cycles, 30u);
 }

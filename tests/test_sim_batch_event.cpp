@@ -575,7 +575,7 @@ TEST(CollectActivity, MatchesScalarReferenceSequentialRaggedChunk) {
                                       opts);
   const auto ref =
       scalar_reference(circuit.module, lib, circuit.cycles_per_inference, wl,
-                       115, 12, opts.time_quantum_ms);
+                       115, 12, kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
@@ -589,7 +589,7 @@ TEST(CollectActivity, MatchesScalarReferenceCombinational) {
   opts.chunk_samples = 16;
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 120, opts);
   const auto ref = scalar_reference(circuit.module, lib, 1, wl, 120, 16,
-                                    opts.time_quantum_ms);
+                                    kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
@@ -605,7 +605,7 @@ TEST(CollectActivity, MatchesScalarReferenceMlp) {
   opts.chunk_samples = 8;  // 12 full chunks + ragged 4-sample final chunk
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 100, opts);
   const auto ref = scalar_reference(circuit.module, lib, 1, wl, 100, 8,
-                                    opts.time_quantum_ms);
+                                    kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
