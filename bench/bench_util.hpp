@@ -159,7 +159,7 @@ class ObsSession {
     return j;
   }
 
-  /// Counter/histogram deltas since the session started.
+  /// Counter deltas since the session started.
   [[nodiscard]] obs::MetricsSnapshot metrics_delta() const {
     return obs::diff_metrics(before_, obs::snapshot_metrics());
   }
@@ -175,10 +175,6 @@ class ObsSession {
       std::cerr << name_ << ": metrics since start\n";
       for (const auto& [metric, value] : delta.counters) {
         std::cerr << "  " << metric << " = " << value << "\n";
-      }
-      for (const auto& h : delta.durations) {
-        std::cerr << "  " << h.name << " = " << h.count << " samples, "
-                  << static_cast<double>(h.total_ns) * 1e-6 << " ms\n";
       }
     }
     if (tracer_ != nullptr) {

@@ -24,7 +24,6 @@
 #include "pml/ml/metrics.hpp"
 #include "pml/ml/scaler.hpp"
 #include "pml/ml/synthetic_datasets.hpp"
-#include "pml/opt/pass_manager.hpp"
 #include "pml/report/table.hpp"
 #include "pml/svc/sweep_service.hpp"
 
@@ -81,12 +80,9 @@ int main(int argc, char** argv) {
   std::vector<Candidate> candidates;
   core::EvaluateOptions eopts;
   eopts.power_samples = 24;
+  // Every circuit is generated raw: the flow is applied inside the
+  // service's evaluation, against the candidate's own workload.
   eopts.optimize.flow = flow;
-  // Cost-driven flows are applied inside evaluate_circuit, where the
-  // workload-probing switching-energy model lives; generating raw keeps
-  // the cell-count fallback from pre-melting the netlist.
-  const bool cost_driven_flow =
-      flow == opt::kBestFlow || opt::flow_recipe(flow).cost_driven;
   std::cout << "optimization flow: " << flow << "\n";
   // Every candidate's bit-exactness gate runs on the 64-way bit-parallel
   // batch simulator, sharded across all hardware threads (0 = auto).
@@ -106,11 +102,9 @@ int main(int argc, char** argv) {
         const auto wl = std::make_shared<const core::CircuitWorkload>(
             core::make_svm_workload(q, test));
         // Parallel works for both reductions; sequential is OvR-only
-        // (the paper's architecture).  The generators run the same flow
-        // recipe the evaluation uses (raw for cost-driven flows, above).
+        // (the paper's architecture).
         arch::ParallelSvmOptions popts;
-        popts.opt = eopts.optimize;
-        popts.opt.enabled = !cost_driven_flow;
+        popts.opt.enabled = false;
         auto par = arch::build_parallel_svm(q, popts);
         svc::SweepRequest preq;
         preq.module =

@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
   }
 
   // Where the optimizer's time went: per-pass wall time, accept/reject
-  // tallies, and cost-model probes (populated by the pml::obs-instrumented
-  // PassManager).
+  // tallies, and cost-model probes (populated by opt::optimize's recipe
+  // loop).
   if (!design.hw.opt_pass_times.empty()) {
     std::cout << "\noptimizer cost profile ("
               << report::fmt(design.hw.opt_seconds * 1e3, 1) << " ms, "

@@ -2,6 +2,9 @@
 // Gate-level evaluation harness: the stand-in for the paper's Synopsys
 // DC + PrimeTime step.
 //
+//  0. *Optimize*: the selected opt flow runs on a copy of the module
+//     (optimize_on_workload, which probes cost-driven flows with this
+//     workload).
 //  1. *Verify*: simulate the circuit (bit-parallel zero-delay batch
 //     simulator, sharded across threads — see core/verify.hpp) on every
 //     workload sample and require the predicted class to equal the integer
@@ -22,7 +25,6 @@
 #include "pml/core/hardware_report.hpp"
 #include "pml/core/verify.hpp"
 #include "pml/netlist/module.hpp"
-#include "pml/opt/cost_model.hpp"
 #include "pml/opt/optimizer.hpp"
 
 namespace pml::core {
@@ -58,11 +60,12 @@ struct EvaluateOptions {
     std::size_t max_mismatches = std::numeric_limits<std::size_t>::max();
   } verify;
   /// Run the opt flow named by `optimize.flow` on a copy of the module
-  /// before levelization — verification, timing, activity, and power then
-  /// all see the optimized netlist (a fast no-op when the arch generator
-  /// already ran the same flow).  Disable via optimize.enabled to measure
-  /// the module exactly as handed in.  Pre/post ModuleStats and the
-  /// chosen recipe land in the HardwareReport.
+  /// before levelization (see optimize_on_workload) — verification,
+  /// timing, activity, and power then all see the optimized netlist (a
+  /// fast no-op when the module already went through the same flow).
+  /// Disable via optimize.enabled to measure the module exactly as handed
+  /// in.  Pre/post ModuleStats and the chosen recipe land in the
+  /// HardwareReport.
   opt::OptOptions optimize;
   /// SIMD lane-word backend for the verify and activity phases (and the
   /// cost-model probe replays).  kAuto picks the widest backend the CPU
@@ -115,13 +118,18 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
                            const CircuitWorkload& workload,
                            const EvaluateOptions& options = {});
 
-/// Build an opt::SwitchingEnergyCost probe from the workload's leading
-/// `num_samples` samples (capped at 64), aligned with the module's
-/// input-port order.  Returns an empty probe when the module's input
-/// ports are not the workload's feature ports.  Shared by
-/// evaluate_circuit and design flows that optimize before evaluating.
-[[nodiscard]] opt::ProbeWorkload make_probe_workload(
-    const netlist::Module& module, int cycles_per_inference,
-    const CircuitWorkload& workload, std::size_t num_samples);
+/// Run the flow `options` names on `module` in place, the one place that
+/// decides whether a flow needs a workload-probed cost model: cost-driven
+/// recipes ("balanced") and the "best" policy get an
+/// opt::SwitchingEnergyCost replaying the workload's leading
+/// kCostProbeSamples samples (aligned with the module's input ports);
+/// other flows, and modules whose inputs are not the workload's feature
+/// ports, run without one.  Used by evaluate_circuit and by design flows
+/// that optimize a raw circuit before evaluating it.
+opt::OptReport optimize_on_workload(netlist::Module& module,
+                                    int cycles_per_inference,
+                                    const cells::CellLibrary& lib,
+                                    const CircuitWorkload& workload,
+                                    const opt::OptOptions& options);
 
 }  // namespace pml::core

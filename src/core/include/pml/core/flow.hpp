@@ -37,8 +37,9 @@ struct SequentialSvmFlowOptions {
   double validation_fraction = 0.25;
   quant::PrecisionSearchOptions precision;
   std::uint64_t seed = 7;
-  /// evaluate.optimize.flow steers both generation and evaluation
-  /// ("area", "energy", "balanced", "none", "best").
+  /// evaluate.optimize.flow ("area", "energy", "balanced", "none",
+  /// "best") optimizes the raw circuit once, against the test workload;
+  /// the evaluation re-runs the winning recipe.
   EvaluateOptions evaluate;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -20,13 +20,18 @@
 
 namespace pml::core {
 
-opt::ProbeWorkload make_probe_workload(const netlist::Module& module,
-                                       int cycles_per_inference,
-                                       const CircuitWorkload& workload,
-                                       std::size_t num_samples) {
+namespace {
+
+/// The cost-model probe: the workload's leading kCostProbeSamples samples
+/// (capped at one batch), aligned with the module's input-port order.
+/// Empty when the module's input ports are not the workload's feature
+/// ports.
+opt::ProbeWorkload probe_workload(const netlist::Module& module,
+                                  int cycles_per_inference,
+                                  const CircuitWorkload& workload) {
   opt::ProbeWorkload probe;
   probe.cycles_per_inference = cycles_per_inference;
-  if (workload.feature_codes.empty() || num_samples == 0) return {};
+  if (workload.feature_codes.empty()) return {};
   const std::size_t features = workload.feature_codes.front().size();
   const auto ports = feature_ports(module, features);
   // Map input-port position -> feature index so probe rows line up with
@@ -44,7 +49,7 @@ opt::ProbeWorkload make_probe_workload(const netlist::Module& module,
     feature_of[p] = j;
   }
   const std::size_t count = std::min(
-      {num_samples, workload.feature_codes.size(),
+      {kCostProbeSamples, workload.feature_codes.size(),
        std::size_t{sim::BatchSimulator::kLanes}});
   probe.samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -56,6 +61,27 @@ opt::ProbeWorkload make_probe_workload(const netlist::Module& module,
     probe.samples.push_back(std::move(row));
   }
   return probe;
+}
+
+}  // namespace
+
+opt::OptReport optimize_on_workload(netlist::Module& module,
+                                    int cycles_per_inference,
+                                    const cells::CellLibrary& lib,
+                                    const CircuitWorkload& workload,
+                                    const opt::OptOptions& options) {
+  const bool wants_cost =
+      options.enabled && (options.flow == opt::kBestFlow ||
+                          opt::flow_recipe(options.flow).cost_driven);
+  std::optional<opt::SwitchingEnergyCost> cost;
+  if (wants_cost) {
+    opt::ProbeWorkload probe =
+        probe_workload(module, cycles_per_inference, workload);
+    if (!probe.samples.empty()) {
+      cost.emplace(lib, std::move(probe), kTimeQuantumMs);
+    }
+  }
+  return opt::optimize(module, options, cost ? &*cost : nullptr);
 }
 
 HardwareReport evaluate_circuit(const netlist::Module& module,
@@ -104,30 +130,16 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
   // Opt flow on a copy (the caller's module is untouched), so every
   // downstream analysis — verification, STA, activity replay, power —
   // sees the optimized netlist.  Already-optimized modules converge in
-  // one cheap sweep.  Cost-driven flows ("balanced", "best") get a
-  // switching-energy cost model probing a slice of this very workload,
-  // so accept/reject decisions track measured transitions, not cell
-  // count.
+  // one cheap sweep.
   module.stats_into(rep.pre_opt_stats);
   const netlist::Module* mp = &module;
   if (options.optimize.enabled) {
     phase_gate("evaluate.optimize");
     PML_OBS_SPAN("evaluate.optimize");
     ctx.module_scratch = module;
-    const bool wants_cost =
-        options.optimize.flow == opt::kBestFlow ||
-        opt::flow_recipe(options.optimize.flow).cost_driven;
-    std::unique_ptr<opt::SwitchingEnergyCost> cost;
-    if (wants_cost) {
-      opt::ProbeWorkload probe = make_probe_workload(
-          module, cycles_per_inference, workload, kCostProbeSamples);
-      if (!probe.samples.empty()) {
-        cost = std::make_unique<opt::SwitchingEnergyCost>(
-            lib, std::move(probe), kTimeQuantumMs);
-      }
-    }
     opt::OptReport opt_rep =
-        opt::optimize(ctx.module_scratch, options.optimize, cost.get());
+        optimize_on_workload(ctx.module_scratch, cycles_per_inference, lib,
+                             workload, options.optimize);
     rep.opt_flow = opt_rep.recipe;
     rep.opt_pass_times = std::move(opt_rep.pass_times);
     rep.opt_seconds = opt_rep.opt_seconds;

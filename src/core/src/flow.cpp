@@ -2,7 +2,6 @@
 
 #include "pml/core/activity.hpp"
 #include "pml/ml/metrics.hpp"
-#include "pml/opt/pass_manager.hpp"
 #include "pml/quant/formats.hpp"
 
 namespace pml::core {
@@ -64,50 +63,31 @@ SequentialSvmDesign design_sequential_svm(
   design.quantized_test_accuracy =
       ml::accuracy(design.quantized.predict_all(test.X), test.y);
 
-  // 5-7. Circuit, verification, timing, power.  One flow knob steers both
-  // the generator's post-generation optimization and the evaluation; the
-  // evaluation re-runs the same recipe, which converges in one cheap
-  // sweep.  Cost-driven flows ("balanced"/"best") must NOT pre-optimize
-  // in the generator — its cell-count fallback would irreversibly melt
-  // the netlist before the measured switching-energy model could veto —
-  // so the circuit is generated raw and optimized here, with the cost
-  // model probing the real workload.
-  EvaluateOptions eopts = options.evaluate;
-  const bool cost_driven =
-      eopts.optimize.enabled &&
-      (eopts.optimize.flow == opt::kBestFlow ||
-       opt::flow_recipe(eopts.optimize.flow).cost_driven);
-  opt::OptOptions gen_opts = eopts.optimize;
-  gen_opts.enabled = eopts.optimize.enabled && !cost_driven;
-  design.circuit = arch::build_sequential_svm(design.quantized, gen_opts);
+  // 5-7. Circuit, optimization, verification, timing, power.  The circuit
+  // is generated raw and optimized once, here, against the real workload
+  // (a cost-driven flow's switching-energy model probes it; generating
+  // optimized would let the cell-count fallback melt the netlist before
+  // that model could veto).  The evaluation re-runs the recipe that won
+  // ("best" resolves to a concrete name), which converges in one cheap
+  // sweep.
+  design.circuit = arch::build_sequential_svm(
+      design.quantized, opt::OptOptions{.enabled = false});
   const CircuitWorkload wl = make_svm_workload(design.quantized, test);
-  if (cost_driven) {
-    opt::ProbeWorkload probe = make_probe_workload(
-        design.circuit.module, design.circuit.cycles_per_inference, wl,
-        kCostProbeSamples);
-    if (probe.samples.empty()) {
-      design.circuit.opt = opt::optimize(design.circuit.module,
-                                         eopts.optimize);
-    } else {
-      const opt::SwitchingEnergyCost cost(lib, std::move(probe),
-                                          kTimeQuantumMs);
-      design.circuit.opt =
-          opt::optimize(design.circuit.module, eopts.optimize, &cost);
-    }
-    // Evaluate under the recipe that actually won ("best" resolves to a
-    // concrete name); its re-run converges in one cheap sweep.
-    eopts.optimize.flow = design.circuit.opt.recipe;
-  }
+  EvaluateOptions eopts = options.evaluate;
+  design.circuit.opt = optimize_on_workload(
+      design.circuit.module, design.circuit.cycles_per_inference, lib, wl,
+      eopts.optimize);
+  eopts.optimize.flow = design.circuit.opt.recipe;
   design.hw = evaluate_circuit(design.circuit.module,
                                design.circuit.cycles_per_inference, lib, wl,
                                eopts);
   design.hw.dataset = train.name;
   design.hw.model = "Ours";
   design.hw.accuracy = design.quantized_test_accuracy;
-  // The generator already ran the opt pipeline, so evaluate_circuit saw an
-  // optimized module; report the raw-generation shape as the "pre" side,
-  // and the real optimization bill (evaluate_circuit's re-run is just the
-  // one-sweep convergence check) as the opt profile.
+  // evaluate_circuit saw the optimized module; report the raw-generation
+  // shape as the "pre" side, and the real optimization bill (the
+  // evaluation's re-run is just the one-sweep convergence check) as the
+  // opt profile.
   design.hw.pre_opt_stats = design.circuit.opt.before;
   if (eopts.optimize.enabled) {
     design.hw.opt_pass_times = design.circuit.opt.pass_times;

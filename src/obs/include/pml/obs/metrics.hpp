@@ -1,6 +1,6 @@
 #pragma once
-// Process-wide metrics registry: named monotonic counters and duration
-// histograms for the simulation/optimization hot paths.
+// Process-wide metrics registry: named monotonic counters for the
+// simulation/optimization hot paths.
 //
 // Design constraints (the sweep-service layer will hammer these):
 //   * Hot path is one relaxed fetch_add on a cached Counter reference —
@@ -11,8 +11,8 @@
 //   * Counter totals for a fixed workload are deterministic — they count
 //     work items (lane-words evaluated, batches dispatched, passes
 //     applied), never time — so tests can assert exact values via
-//     snapshot diffs.  Wall time lives in DurationHistogram, which is
-//     never part of determinism contracts.
+//     snapshot diffs.  Wall time lives in trace spans (trace.hpp), which
+//     are never part of determinism contracts.
 //   * Compiling with -DPML_OBS_DISABLED turns every macro into `(void)0`
 //     (for embedded builds; see trace.hpp for the span macros).  The
 //     classes themselves are unchanged, so there is no ODR hazard when
@@ -50,70 +50,18 @@ class Counter {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
-  friend void reset_metrics();
   std::string name_;
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Log2-bucketed histogram of durations, plus exact count/total.
-/// Bucket b counts samples with floor(log2(us)) == b (bucket 0 also takes
-/// sub-microsecond samples); the last bucket is the overflow tail.
-class DurationHistogram {
- public:
-  static constexpr std::size_t kBuckets = 32;
-
-  explicit DurationHistogram(std::string name) : name_(std::move(name)) {}
-  DurationHistogram(const DurationHistogram&) = delete;
-  DurationHistogram& operator=(const DurationHistogram&) = delete;
-
-  void record_ns(std::uint64_t ns) noexcept;
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total_ns() const noexcept {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
- private:
-  friend void reset_metrics();
-  std::string name_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-};
-
-/// Find-or-create a counter / histogram by name.  The returned reference
-/// is valid for the life of the process.  Linear scan under a mutex —
-/// cache it (see PML_OBS_COUNT / PML_OBS_TIMED).
+/// Find-or-create a counter by name.  The returned reference is valid for
+/// the life of the process.  Linear scan under a mutex — cache it (see
+/// PML_OBS_COUNT).
 [[nodiscard]] Counter& counter(std::string_view name);
-[[nodiscard]] DurationHistogram& duration(std::string_view name);
 
-/// RAII wall-clock sample into a DurationHistogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(DurationHistogram& h);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  DurationHistogram& hist_;
-  std::uint64_t start_ns_;
-};
-
-/// Point-in-time copy of every registered metric, sorted by name.
+/// Point-in-time copy of every registered counter, sorted by name.
 struct MetricsSnapshot {
-  struct HistEntry {
-    std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-  };
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<HistEntry> durations;
 
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
   [[nodiscard]] Json to_json() const;
@@ -121,16 +69,12 @@ struct MetricsSnapshot {
 
 [[nodiscard]] MetricsSnapshot snapshot_metrics();
 
-/// after - before, per metric (clamped at 0; metrics registered only in
+/// after - before, per counter (clamped at 0; counters registered only in
 /// `after` keep their absolute value).  The deterministic-workload tests
 /// are written against diffs so they hold regardless of what earlier
 /// tests in the same process counted.
 [[nodiscard]] MetricsSnapshot diff_metrics(const MetricsSnapshot& before,
                                            const MetricsSnapshot& after);
-
-/// Zero every registered metric (tests and long-lived services between
-/// reporting periods; registered names persist).
-void reset_metrics();
 
 }  // namespace pml::obs
 
@@ -142,7 +86,6 @@ void reset_metrics();
 
 #ifdef PML_OBS_DISABLED
 #define PML_OBS_COUNT(name, n) ((void)0)
-#define PML_OBS_TIMED(name) ((void)0)
 #else
 /// Bump the named counter by n.  Registry lookup happens once per call
 /// site (function-local static), the steady-state cost is one relaxed
@@ -153,9 +96,4 @@ void reset_metrics();
         ::pml::obs::counter(name);                                \
     pml_obs_counter_.add(static_cast<std::uint64_t>(n));          \
   } while (0)
-/// Time the rest of the enclosing scope into the named histogram.
-#define PML_OBS_TIMED(name)                                       \
-  static ::pml::obs::DurationHistogram& pml_obs_hist_ =           \
-      ::pml::obs::duration(name);                                 \
-  ::pml::obs::ScopedTimer pml_obs_timer_(pml_obs_hist_)
 #endif

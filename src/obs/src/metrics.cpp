@@ -1,8 +1,6 @@
 #include "pml/obs/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <deque>
 #include <mutex>
 
@@ -10,20 +8,12 @@ namespace pml::obs {
 
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// The registry: deques give stable addresses for the references handed
 /// out; the mutex guards only registration and snapshotting, never the
 /// counting hot path.
 struct Registry {
   std::mutex mu;
   std::deque<Counter> counters;
-  std::deque<DurationHistogram> durations;
 };
 
 Registry& registry() {
@@ -33,17 +23,6 @@ Registry& registry() {
 
 }  // namespace
 
-void DurationHistogram::record_ns(std::uint64_t ns) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  const std::uint64_t us = ns / 1000;
-  const std::size_t b =
-      us == 0 ? 0
-              : std::min<std::size_t>(kBuckets - 1,
-                                      std::bit_width(us) - 1);
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-}
-
 Counter& counter(std::string_view name) {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mu);
@@ -52,20 +31,6 @@ Counter& counter(std::string_view name) {
   }
   return r.counters.emplace_back(std::string(name));
 }
-
-DurationHistogram& duration(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  for (DurationHistogram& h : r.durations) {
-    if (h.name() == name) return h;
-  }
-  return r.durations.emplace_back(std::string(name));
-}
-
-ScopedTimer::ScopedTimer(DurationHistogram& h)
-    : hist_(h), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() { hist_.record_ns(now_ns() - start_ns_); }
 
 std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
   for (const auto& [n, v] : counters) {
@@ -79,16 +44,8 @@ Json MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : counters) {
     counters_json.set(name, value);
   }
-  Json durations_json = Json::object();
-  for (const HistEntry& h : durations) {
-    Json entry = Json::object();
-    entry.set("count", h.count);
-    entry.set("total_ms", static_cast<double>(h.total_ns) / 1e6);
-    durations_json.set(h.name, std::move(entry));
-  }
   Json j = Json::object();
   j.set("counters", std::move(counters_json));
-  j.set("durations", std::move(durations_json));
   return j;
 }
 
@@ -101,14 +58,8 @@ MetricsSnapshot snapshot_metrics() {
     for (const Counter& c : r.counters) {
       snap.counters.emplace_back(c.name(), c.value());
     }
-    snap.durations.reserve(r.durations.size());
-    for (const DurationHistogram& h : r.durations) {
-      snap.durations.push_back({h.name(), h.count(), h.total_ns()});
-    }
   }
   std::sort(snap.counters.begin(), snap.counters.end());
-  std::sort(snap.durations.begin(), snap.durations.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
   return snap;
 }
 
@@ -119,31 +70,7 @@ MetricsSnapshot diff_metrics(const MetricsSnapshot& before,
     const std::uint64_t prev = before.counter_value(name);
     out.counters.emplace_back(name, value >= prev ? value - prev : 0);
   }
-  for (const auto& h : after.durations) {
-    MetricsSnapshot::HistEntry e = h;
-    for (const auto& p : before.durations) {
-      if (p.name == h.name) {
-        e.count = h.count >= p.count ? h.count - p.count : 0;
-        e.total_ns = h.total_ns >= p.total_ns ? h.total_ns - p.total_ns : 0;
-        break;
-      }
-    }
-    out.durations.push_back(std::move(e));
-  }
   return out;
-}
-
-void reset_metrics() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  for (Counter& c : r.counters) {
-    c.value_.store(0, std::memory_order_relaxed);
-  }
-  for (DurationHistogram& h : r.durations) {
-    h.count_.store(0, std::memory_order_relaxed);
-    h.total_ns_.store(0, std::memory_order_relaxed);
-    for (auto& b : h.buckets_) b.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace pml::obs

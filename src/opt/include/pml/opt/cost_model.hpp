@@ -1,5 +1,5 @@
 #pragma once
-// Hardware cost models for the cost-driven pass manager.
+// Hardware cost models that price candidate modules for opt::optimize().
 //
 // The point of scoring candidate modules *inside* the optimization loop
 // (rather than trusting cell count) is that the two real objectives —
@@ -16,7 +16,6 @@
 // contract, tested in tests/test_opt_passes.cpp).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "pml/cells/library.hpp"
@@ -30,7 +29,6 @@ class CostModel {
   virtual ~CostModel() = default;
   /// Must be deterministic in `m` alone and side-effect free.
   [[nodiscard]] virtual double cost(const netlist::Module& m) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Cell count — the PR 4 objective, and the fallback when no workload is
@@ -38,7 +36,6 @@ class CostModel {
 class CellCountCost final : public CostModel {
  public:
   [[nodiscard]] double cost(const netlist::Module& m) const override;
-  [[nodiscard]] std::string name() const override { return "cell-count"; }
 };
 
 /// A short stimulus for probing candidate modules: per-sample raw codes
@@ -64,9 +61,6 @@ class SwitchingEnergyCost final : public CostModel {
                       double time_quantum_ms = 0.02);
 
   [[nodiscard]] double cost(const netlist::Module& m) const override;
-  [[nodiscard]] std::string name() const override {
-    return "switching-energy";
-  }
 
  private:
   const cells::CellLibrary& lib_;

@@ -40,9 +40,10 @@
 // iteration-order, pointer, or thread dependence.
 //
 // Pass *composition* is a flow decision: see pass_manager.hpp for the
-// registry of named passes, the named flow recipes ("area", "energy",
-// "balanced", "none"), and the cost-driven PassManager that accepts or
-// rejects pass applications by a measured opt::CostModel.
+// named flow recipes ("area", "energy", "balanced", "none"), each holding
+// its passes.  optimize() runs one recipe (or "best" over all of them),
+// accepting or rejecting the applications of a cost-driven recipe by a
+// measured opt::CostModel.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,6 +75,7 @@ struct PassDelta {
 [[nodiscard]] PassDelta rebalance_trees(netlist::Module& m);
 [[nodiscard]] PassDelta sweep_dead(netlist::Module& m);
 
+/// A named pass, as a flow recipe lists it.
 struct Pass {
   std::string name;
   PassDelta (*run)(netlist::Module&) = nullptr;
@@ -90,7 +92,7 @@ struct OptOptions {
   std::string flow = "area";
 };
 
-/// Observability record for one pass across a whole PassManager run:
+/// Observability record for one pass across a whole recipe run:
 /// where the optimization wall time and cost-model probes went.  The
 /// timing fields are wall-clock (not part of any determinism contract);
 /// the counts are deterministic in the module and cost model alone.
@@ -123,10 +125,10 @@ struct OptReport {
   /// application order.
   std::vector<std::string> rejected;
   /// Per-pass wall time / application / accept / reject / probe counts in
-  /// recipe order (every resolved pass appears, even if it never fired) —
+  /// recipe order (every recipe pass appears, even if it never fired) —
   /// the profile behind "which pass is this recipe paying for".
   std::vector<PassTiming> pass_times;
-  /// Total wall time of the PassManager run (seconds).
+  /// Total wall time of the optimize() call (seconds).
   double opt_seconds = 0.0;
   /// Total cost-model queries, including the initial/final module probes
   /// not attributable to one pass.

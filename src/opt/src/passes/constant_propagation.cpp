@@ -14,8 +14,8 @@ using netlist::NetId;
 // through combinational cells and DFFs.  Rules either dissolve a cell into
 // an existing net (kill + redirect) or retype it in place to a strictly
 // simpler cell; repeated sweeps run until no rule fires, so constants flow
-// through arbitrarily deep cones (and DFF chains, across PassManager
-// iterations) without requiring topological order.
+// through arbitrarily deep cones (and DFF chains, across a recipe's
+// fixpoint sweeps) without requiring topological order.
 PassDelta propagate_constants(netlist::Module& m) {
   PassDelta delta{.pass = "constant-propagation"};
   Subst sub(m.num_nets());

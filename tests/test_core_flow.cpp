@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/flow.hpp"
 #include "pml/ml/scaler.hpp"
 #include "pml/ml/synthetic_datasets.hpp"
+#include "pml/opt/pass_manager.hpp"
 #include "pml/svc/sweep_service.hpp"
 
 namespace pml::core {
@@ -199,6 +203,51 @@ TEST(FlowSelection, DesignFlowHonorsTheFlowOption) {
   EXPECT_EQ(design.hw.opt_flow, "energy");
   EXPECT_EQ(design.circuit.opt.recipe, "energy");
   EXPECT_TRUE(design.hw.verified);
+}
+
+TEST(FlowSelection, DesignFlowOptimizesLikeAnEvaluationOfTheRawCircuit) {
+  // design_sequential_svm optimizes its raw circuit once against the test
+  // workload, then evaluates under the recipe that won: the report must
+  // match evaluate_circuit applying the same flow to the raw generator
+  // output, and name a concrete recipe even under the "best" policy.
+  const Data data = cardio_subset();
+  const auto lib = cells::CellLibrary::egfet();
+  for (const std::string flow : {"balanced", opt::kBestFlow}) {
+    SequentialSvmFlowOptions opts;
+    opts.c_grid = {1.0};
+    opts.bias_calibration_rounds = 0;
+    opts.evaluate.power_samples = 8;
+    opts.evaluate.optimize.flow = flow;
+    const SequentialSvmDesign design =
+        design_sequential_svm(data.train, data.test, lib, opts);
+    EXPECT_NO_THROW((void)opt::flow_recipe(design.hw.opt_flow)) << flow;
+    if (flow != opt::kBestFlow) {
+      EXPECT_EQ(design.hw.opt_flow, flow);
+    }
+    EXPECT_EQ(design.circuit.opt.recipe, design.hw.opt_flow) << flow;
+    EXPECT_TRUE(design.hw.verified) << flow;
+
+    const auto raw = arch::build_sequential_svm(
+        design.quantized, opt::OptOptions{.enabled = false});
+    const HardwareReport ref = evaluate_circuit(
+        raw.module, raw.cycles_per_inference, lib,
+        make_svm_workload(design.quantized, data.test), opts.evaluate);
+    EXPECT_EQ(design.hw.opt_flow, ref.opt_flow) << flow;
+    EXPECT_EQ(design.hw.num_cells, ref.num_cells) << flow;
+    EXPECT_EQ(design.hw.energy_mj, ref.energy_mj) << flow;
+    const netlist::ModuleStats& pre = design.hw.pre_opt_stats;
+    const netlist::ModuleStats& ref_pre = ref.pre_opt_stats;
+    EXPECT_EQ(pre.num_cells, ref_pre.num_cells) << flow;
+    EXPECT_EQ(pre.num_nets, ref_pre.num_nets) << flow;
+    EXPECT_EQ(pre.num_dffs, ref_pre.num_dffs) << flow;
+    EXPECT_TRUE(std::equal(std::begin(pre.counts_by_type),
+                           std::end(pre.counts_by_type),
+                           std::begin(ref_pre.counts_by_type)))
+        << flow;
+    EXPECT_EQ(pre.counts_by_group, ref_pre.counts_by_group) << flow;
+    EXPECT_EQ(design.hw.opt_cost_probes, ref.opt_cost_probes) << flow;
+    EXPECT_GT(design.hw.opt_cost_probes, 0u) << flow;
+  }
 }
 
 TEST(Flow, DeterministicForFixedSeeds) {

@@ -20,14 +20,8 @@ TEST(ObsDisabled, MacrosAreNoOpsAndRegisterNothing) {
     PML_OBS_COUNT("disabled.counter", 1);
     PML_OBS_SPAN("disabled.span");
   }
-  {
-    PML_OBS_TIMED("disabled.timer");
-  }
-  const MetricsSnapshot snap = snapshot_metrics();
-  EXPECT_TRUE(snap.counters.empty())
+  EXPECT_TRUE(snapshot_metrics().counters.empty())
       << "a disabled macro registered a counter";
-  EXPECT_TRUE(snap.durations.empty())
-      << "a disabled macro registered a histogram";
 }
 
 TEST(ObsDisabled, ZeroCounterInvariantUnderTracer) {

@@ -520,40 +520,40 @@ TEST(OptPipeline, SequentialMlpRawVsOptimized) {
                     raw.cycles_per_inference, 3);
 }
 
-// --- pass registry and flow recipes -------------------------------------------
+// --- flow recipes ------------------------------------------------------------
 
-TEST(PassRegistry, FindsEveryRegisteredPassByName) {
-  for (const Pass& pass : pass_registry()) {
-    const Pass& found = find_pass(pass.name);
-    EXPECT_EQ(found.name, pass.name);
-    EXPECT_EQ(found.run, pass.run);
-  }
-  EXPECT_GE(pass_registry().size(), 5u);  // incl. rebalance-trees
-}
-
-TEST(PassRegistry, UnknownPassNameThrows) {
-  EXPECT_THROW((void)find_pass("no-such-pass"), std::invalid_argument);
-  EXPECT_THROW(PassManager(FlowRecipe{"bad", {"no-such-pass"}, false}),
-               std::invalid_argument);
+std::vector<std::string> pass_names(const FlowRecipe& flow) {
+  std::vector<std::string> names;
+  for (const Pass& pass : flow.passes) names.push_back(pass.name);
+  return names;
 }
 
 TEST(FlowRecipes, RoundTripByName) {
   for (const FlowRecipe& flow : standard_flows()) {
-    const FlowRecipe& back = flow_recipe(flow.name);
-    EXPECT_EQ(back.name, flow.name);
-    EXPECT_EQ(back.passes, flow.passes);
-    EXPECT_EQ(back.cost_driven, flow.cost_driven);
+    EXPECT_EQ(&flow_recipe(flow.name), &flow);
   }
   // "area" must remain the PR 4 pipeline, "energy" the CSE+DCE-only
   // composition, and "none" empty.
-  EXPECT_EQ(flow_recipe("area").passes,
+  EXPECT_EQ(pass_names(flow_recipe("area")),
             (std::vector<std::string>{"constant-propagation",
                                       "buffer-chain-collapse",
                                       "structural-hash", "dead-sweep"}));
-  EXPECT_EQ(flow_recipe("energy").passes,
+  EXPECT_EQ(pass_names(flow_recipe("energy")),
             (std::vector<std::string>{"structural-hash", "dead-sweep"}));
   EXPECT_TRUE(flow_recipe("none").passes.empty());
   EXPECT_TRUE(flow_recipe("balanced").cost_driven);
+}
+
+TEST(FlowRecipes, EveryPassReportsUnderItsRecipeName) {
+  // A recipe pairs each name with its function by hand; the pass's own
+  // delta label catches a mismatched pair.
+  for (const FlowRecipe& flow : standard_flows()) {
+    for (const Pass& pass : flow.passes) {
+      Module m = random_module(23, true);
+      ASSERT_NE(pass.run, nullptr) << flow.name << "/" << pass.name;
+      EXPECT_EQ(pass.run(m).pass, pass.name) << flow.name;
+    }
+  }
 }
 
 TEST(FlowRecipes, UnknownFlowNameThrows) {
@@ -593,17 +593,24 @@ class PreferMoreCells final : public CostModel {
   [[nodiscard]] double cost(const netlist::Module& m) const override {
     return 1e9 - static_cast<double>(m.cells().size());
   }
-  [[nodiscard]] std::string name() const override { return "prefer-more"; }
+};
+
+/// Indifferent model: every candidate costs the same, so every recipe
+/// ties under "best".
+class ConstantCost final : public CostModel {
+ public:
+  [[nodiscard]] double cost(const netlist::Module&) const override {
+    return 1.0;
+  }
 };
 
 }  // namespace
 
-TEST(PassManagerCost, RejectsApplicationsTheModelDislikes) {
+TEST(OptimizeCost, RejectsApplicationsTheModelDislikes) {
   Module m = random_module(9, true);
   const Module before = m;
   const PreferMoreCells adversarial;
-  const OptReport report =
-      PassManager(flow_recipe("balanced"), {}, &adversarial).run(m);
+  const OptReport report = optimize(m, {.flow = "balanced"}, &adversarial);
   // Shrinking applications were rejected and reverted...
   EXPECT_FALSE(report.rejected.empty());
   // ...and whatever was accepted never reduced the cell count.
@@ -613,7 +620,7 @@ TEST(PassManagerCost, RejectsApplicationsTheModelDislikes) {
   }
 }
 
-TEST(PassManagerCost, AcceptRejectTraceIsDeterministic) {
+TEST(OptimizeCost, AcceptRejectTraceIsDeterministic) {
   const cells::CellLibrary lib = cells::CellLibrary::egfet();
   for (const std::uint64_t seed : {31ull, 32ull}) {
     Module a = random_module(seed, true);
@@ -632,10 +639,8 @@ TEST(PassManagerCost, AcceptRejectTraceIsDeterministic) {
       probe.samples.push_back(std::move(row));
     }
     const SwitchingEnergyCost cost(lib, probe);
-    const OptReport ra =
-        PassManager(flow_recipe("balanced"), {}, &cost).run(a);
-    const OptReport rb =
-        PassManager(flow_recipe("balanced"), {}, &cost).run(b);
+    const OptReport ra = optimize(a, {.flow = "balanced"}, &cost);
+    const OptReport rb = optimize(b, {.flow = "balanced"}, &cost);
     EXPECT_EQ(ra.rejected, rb.rejected);
     EXPECT_EQ(ra.deltas.size(), rb.deltas.size());
     EXPECT_DOUBLE_EQ(ra.cost_after, rb.cost_after);
@@ -649,12 +654,11 @@ TEST(PassManagerCost, AcceptRejectTraceIsDeterministic) {
   }
 }
 
-TEST(PassManagerCost, BestFlowPicksTheCheapestRecipe) {
+TEST(OptimizeCost, BestFlowPicksTheCheapestRecipe) {
   Module m = random_module(41, true);
   const CellCountCost cell_count;
   Module best_m = m;
-  const OptReport best =
-      PassManager::run_best(best_m, standard_flows(), cell_count);
+  const OptReport best = optimize(best_m, {.flow = kBestFlow}, &cell_count);
   // Under the cell-count model the winner can never have more cells than
   // any single recipe's result — including "area".
   Module area_m = m;
@@ -664,6 +668,28 @@ TEST(PassManagerCost, BestFlowPicksTheCheapestRecipe) {
   EXPECT_LE(best_m.cells().size(), area_m.cells().size());
   EXPECT_FALSE(best.recipe.empty());
   expect_equivalent(m, best_m, 150, 5, 99);
+}
+
+TEST(OptimizeCost, BestFlowTieGoesToTheFirstRecipeAndSumsTheBill) {
+  const Module m = random_module(43, true);
+  const ConstantCost constant;
+  Module best_m = m;
+  const OptReport best = optimize(best_m, {.flow = kBestFlow}, &constant);
+  const FlowRecipe& first = standard_flows().front();
+  EXPECT_EQ(best.recipe, first.name);
+  // The winner's module and trace are the first recipe's own...
+  Module first_m = m;
+  const OptReport alone = optimize(first_m, {.flow = first.name}, &constant);
+  EXPECT_EQ(best_m.stats().num_cells, first_m.stats().num_cells);
+  EXPECT_EQ(best.deltas.size(), alone.deltas.size());
+  // ...but the probe count is the bill of every recipe tried.
+  std::uint64_t probes = 0;
+  for (const FlowRecipe& flow : standard_flows()) {
+    Module copy = m;
+    probes += optimize(copy, {.flow = flow.name}, &constant).cost_probes;
+  }
+  EXPECT_EQ(best.cost_probes, probes);
+  EXPECT_GT(best.cost_probes, alone.cost_probes);
 }
 
 // --- growth-safe report accounting --------------------------------------------
