@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
 
   std::vector<const netlist::Port*> ports;
   for (std::size_t j = 0; j < wl.feature_codes[0].size(); ++j) {
-    ports.push_back(circuit.module.find_input("x" + std::to_string(j)));
+    ports.push_back(
+        circuit.module.find_input(std::string("x").append(std::to_string(j))));
   }
   const netlist::Port* class_port = circuit.module.find_output("class");
 

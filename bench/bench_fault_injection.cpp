@@ -72,7 +72,8 @@ std::vector<std::size_t> run_scalar(const netlist::Module& module,
   sim::CycleSimulator sim(module, lv);
   std::vector<const netlist::Port*> ports;
   for (std::size_t j = 0; j < wl.feature_codes[0].size(); ++j) {
-    ports.push_back(module.find_input("x" + std::to_string(j)));
+    ports.push_back(
+        module.find_input(std::string("x").append(std::to_string(j))));
   }
   const netlist::Port* class_port = module.find_output("class");
   std::vector<std::size_t> miscounts;
@@ -224,7 +225,8 @@ int main(int argc, char** argv) {
   auto mean_acc = [](const core::FaultCampaignResult& r) {
     double sum = 0.0;
     for (const auto& v : r.variants) sum += v.accuracy();
-    return r.variants.empty() ? 0.0 : sum / static_cast<double>(r.variants.size());
+    return r.variants.empty(
+        ) ? 0.0 : sum / static_cast<double>(r.variants.size());
   };
   auto broken_count = [](const core::FaultCampaignResult& r) {
     std::size_t broken = 0;

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   sim::CycleSimulator sim(design.circuit.module);
   const auto xq = quant::quantize_features(data.test.X[0], q.input_format);
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   report::Table walk({"Cycle", "SV select (counter)", "Score (compute)",
                       "Best id (voter)", "Done"});

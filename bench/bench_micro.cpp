@@ -110,7 +110,7 @@ void BM_CycleSimClassification(benchmark::State& state) {
     const auto xq = quant::quantize_features(
         fx.test.X[i++ % fx.test.size()], fx.quantized.input_format);
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      sim.set_port("x" + std::to_string(j),
+      sim.set_port(std::string("x").append(std::to_string(j)),
                    static_cast<std::uint64_t>(xq[j]));
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) sim.step();
@@ -130,7 +130,7 @@ void BM_EventSimClassification(benchmark::State& state) {
     const auto xq = quant::quantize_features(
         fx.test.X[i++ % fx.test.size()], fx.quantized.input_format);
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      sim.set_port("x" + std::to_string(j),
+      sim.set_port(std::string("x").append(std::to_string(j)),
                    static_cast<std::uint64_t>(xq[j]));
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) sim.step();

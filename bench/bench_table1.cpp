@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
         {row.dataset, row.model, row.opt_flow,
          std::to_string(row.pre_opt_stats.num_cells) + " > " +
              std::to_string(row.post_opt_stats.num_cells),
-         "-" + report::fmt(row.opt_cell_reduction() * 100.0, 1),
+         std::string("-").append(
+             report::fmt(row.opt_cell_reduction() * 100.0, 1)),
          report::fmt(power::area_cm2(row.pre_opt_stats, lib), 2) + " > " +
              report::fmt(power::area_cm2(row.post_opt_stats, lib), 2),
          report::fmt(power::static_power_mw(row.pre_opt_stats, lib), 2) +

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     const auto xq =
         quant::quantize_features(test.X[0], design.quantized.input_format);
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      sim.set_port("x" + std::to_string(j),
+      sim.set_port(std::string("x").append(std::to_string(j)),
                    static_cast<std::uint64_t>(xq[j]));
     }
     for (int c = 0; c < design.circuit.cycles_per_inference; ++c) {

@@ -30,8 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "pml/obs/json.hpp"
-
 namespace pml::obs {
 
 /// Monotonic counter.  add() is lock-free and safe from any thread.
@@ -64,7 +62,6 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
-  [[nodiscard]] Json to_json() const;
 };
 
 [[nodiscard]] MetricsSnapshot snapshot_metrics();

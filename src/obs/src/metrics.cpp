@@ -39,16 +39,6 @@ std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
   return 0;
 }
 
-Json MetricsSnapshot::to_json() const {
-  Json counters_json = Json::object();
-  for (const auto& [name, value] : counters) {
-    counters_json.set(name, value);
-  }
-  Json j = Json::object();
-  j.set("counters", std::move(counters_json));
-  return j;
-}
-
 MetricsSnapshot snapshot_metrics() {
   Registry& r = registry();
   MetricsSnapshot snap;

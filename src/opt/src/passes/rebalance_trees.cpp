@@ -57,7 +57,7 @@ PassDelta rebalance_trees(netlist::Module& m) {
   // being expanded.
   auto interior_driver = [&](NetId net, CellType type, std::size_t& cell) {
     if (net >= driver.size() || driver[net] < 0) return false;
-    if (fanout[net] != 1 || lv.fanout[net].empty()) return false;
+    if (fanout[net] != 1 || lv.fanout(net).empty()) return false;
     const auto di = static_cast<std::size_t>(driver[net]);
     if (m.cells()[di].type != type) return false;
     cell = di;
@@ -77,8 +77,8 @@ PassDelta rebalance_trees(netlist::Module& m) {
     if (!is_tree_type(c.type)) continue;
     // Skip interiors (single-fanout cells whose lone reader is a
     // same-type gate): they belong to their reader's tree.
-    if (fanout[c.out] == 1 && !lv.fanout[c.out].empty() &&
-        m.cells()[lv.fanout[c.out][0]].type == c.type) {
+    if (fanout[c.out] == 1 && !lv.fanout(c.out).empty() &&
+        m.cells()[lv.fanout(c.out)[0]].type == c.type) {
       continue;
     }
 

@@ -48,7 +48,7 @@ namespace {
 double fanout_load(const cells::Calibration& cal, const sim::Levelization& lv,
                    netlist::NetId net) {
   const double fanout = static_cast<double>(
-      lv.fanout[net].empty() ? 1 : lv.fanout[net].size());
+      lv.fanout(net).empty() ? 1 : lv.fanout(net).size());
   return 1.0 + cal.fanout_energy_factor * (fanout - 1.0);
 }
 

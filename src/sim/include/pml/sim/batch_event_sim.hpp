@@ -138,12 +138,16 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
     clear_activity();
   }
 
-  /// Adopt another engine's settled lane state (LaneState::import_state)
-  /// with no event pending, as if this engine had settled there itself.
-  /// Counters and the count mask are left alone.
+  /// Adopt another engine's settled lane state (LaneState::import_state),
+  /// or an exported one, with no event pending, as if this engine had
+  /// settled there itself.  Counters and the count mask are left alone.
   template <class Other>
   void import_state(const LaneState<Other, L>& src) {
     Base::import_state(src);
+    drop_events();
+  }
+  void import_state(const std::uint64_t* words) {
+    Base::import_state(words);
     drop_events();
   }
 
@@ -314,7 +318,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
             }
           }
           L::store(dst, word);
-          for (const std::uint32_t ci : lv_->fanout[e.net]) {
+          for (const std::uint32_t ci : lv_->fanout(e.net)) {
             if (cells[ci].type == netlist::CellType::kDff) continue;
             if (cell_epoch_[ci] != epoch_) {
               cell_epoch_[ci] = epoch_;
@@ -346,6 +350,8 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
       }
     }
     PML_OBS_COUNT("sim.batch_event.lane_words", evals);
+    // Every event queued before or during this run was applied here.
+    PML_OBS_COUNT("sim.batch_event.events", guard);
   }
 
   void full_settle_zero_delay() {

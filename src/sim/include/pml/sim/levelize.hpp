@@ -1,11 +1,13 @@
 #pragma once
 // Topological ordering of the combinational subgraph.
 //
-// Shared by the cycle simulator (evaluation order), the event simulator
-// (consistent initialization), and the timing analyzer (longest-path DP).
+// Shared by the cycle simulator (evaluation order), the event simulators
+// (consistent initialization and the fanout wake lists), the timing
+// analyzer (longest-path DP) and the power model (fanout loads).
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "pml/netlist/module.hpp"
@@ -21,18 +23,30 @@ struct Levelization {
   /// Logic depth (number of combinational cells on the longest path feeding
   /// each net); constants/PIs/DFF outputs have depth 0.
   std::vector<std::uint32_t> net_depth;
-  /// fanout[net] = cells reading that net.
-  std::vector<std::vector<std::uint32_t>> fanout;
+  /// Fanout in CSR form: the cells reading net n are
+  /// fanout_cells[fanout_offsets[n] .. fanout_offsets[n + 1]), in
+  /// ascending cell order.  One flat array for every net keeps the event
+  /// engines' wake loop on contiguous memory and costs one allocation,
+  /// not one per net.
+  std::vector<std::uint32_t> fanout_offsets;  ///< num_nets + 1 entries
+  std::vector<std::uint32_t> fanout_cells;
   /// Maximum combinational depth over all nets.
   std::uint32_t max_depth = 0;
+
+  /// The cells reading `net`, in ascending cell order.
+  [[nodiscard]] std::span<const std::uint32_t> fanout(
+      netlist::NetId net) const {
+    return {fanout_cells.data() + fanout_offsets[net],
+            fanout_cells.data() + fanout_offsets[net + 1]};
+  }
 };
 
 /// Compute the levelization.  Throws std::runtime_error on combinational
 /// cycles (Module::validate reports them more descriptively).
 [[nodiscard]] Levelization levelize(const netlist::Module& module);
 
-/// Allocation-free form: overwrite `lv` in place, reusing its vector (and
-/// fanout inner-vector) capacities, with all transient working memory
+/// Allocation-free form: overwrite `lv` in place, reusing its vector
+/// capacities, with all transient working memory
 /// (driver map, indegrees, ready stack, depth-sort counters) drawn from
 /// `scratch`.  Produces exactly the levelization levelize() returns —
 /// including the deterministic depth-major comb_order — but repeated

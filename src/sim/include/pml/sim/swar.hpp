@@ -255,6 +255,13 @@ class LaneState {
     std::copy(src.dff_state_.begin(), src.dff_state_.end(),
               dff_state_.begin());
   }
+  /// Adopt a lane state that export_state() wrote from an engine bound to
+  /// the same module.
+  void import_state(const std::uint64_t* words) {
+    const std::uint64_t* const dff_words = words + values_.size();
+    std::copy(words, dff_words, values_.begin());
+    std::copy(dff_words, dff_words + dff_state_.size(), dff_state_.begin());
+  }
 
  protected:
   template <class, LaneWord>

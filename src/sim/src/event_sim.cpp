@@ -148,7 +148,7 @@ void EventSimulator::run_events(bool count) {
         }
       }
       values_[ev.net] = ev.value;
-      for (const std::uint32_t ci : lv_->fanout[ev.net]) {
+      for (const std::uint32_t ci : lv_->fanout(ev.net)) {
         if (cells[ci].type == CellType::kDff) continue;
         if (cell_epoch_[ci] != epoch_) {
           cell_epoch_[ci] = epoch_;

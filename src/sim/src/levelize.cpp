@@ -20,16 +20,25 @@ void levelize_into(const netlist::Module& module, Levelization& lv,
   const auto& cells = module.cells();
   const std::size_t num_nets = module.num_nets();
 
-  // Reuse the fanout storage: shrink first (dropping only the tail inner
-  // vectors), clear the survivors in place, then grow — same-shaped
-  // modules keep every inner capacity.
-  if (lv.fanout.size() > num_nets) lv.fanout.resize(num_nets);
-  for (auto& f : lv.fanout) f.clear();
-  lv.fanout.resize(num_nets);
   lv.net_depth.assign(num_nets, 0);
   lv.comb_order.clear();
   lv.dffs.clear();
   lv.max_depth = 0;
+
+  // Fanout CSR: count each net's readers, prefix-sum the counts into
+  // offsets, then place every reader through a per-net cursor.  Cells are
+  // visited in ascending order, so each net lists its readers ascending.
+  lv.fanout_offsets.assign(num_nets + 1, 0);
+  for (const Cell& c : cells) {
+    const int arity = netlist::cell_num_inputs(c.type);
+    for (int k = 0; k < arity; ++k) ++lv.fanout_offsets[c.in[k] + 1];
+  }
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    lv.fanout_offsets[n + 1] += lv.fanout_offsets[n];
+  }
+  lv.fanout_cells.resize(lv.fanout_offsets[num_nets]);
+  std::uint32_t* const cursor = scratch.alloc<std::uint32_t>(num_nets);
+  std::copy(lv.fanout_offsets.begin(), lv.fanout_offsets.end() - 1, cursor);
 
   int* const indegree = scratch.alloc<int>(cells.size());
   std::fill(indegree, indegree + cells.size(), 0);
@@ -46,7 +55,7 @@ void levelize_into(const netlist::Module& module, Levelization& lv,
     const Cell& c = cells[i];
     const int arity = netlist::cell_num_inputs(c.type);
     for (int k = 0; k < arity; ++k) {
-      lv.fanout[c.in[k]].push_back(static_cast<std::uint32_t>(i));
+      lv.fanout_cells[cursor[c.in[k]]++] = static_cast<std::uint32_t>(i);
     }
     if (c.type == CellType::kDff) {
       lv.dffs.push_back(static_cast<std::uint32_t>(i));
@@ -77,7 +86,7 @@ void levelize_into(const netlist::Module& module, Levelization& lv,
     }
     lv.net_depth[c.out] = depth + 1;
     lv.max_depth = std::max(lv.max_depth, depth + 1);
-    for (std::uint32_t j : lv.fanout[c.out]) {
+    for (const std::uint32_t j : lv.fanout(c.out)) {
       if (cells[j].type == CellType::kDff) continue;
       if (--indegree[j] == 0) ready[ready_top++] = j;
     }

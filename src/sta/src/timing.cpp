@@ -53,7 +53,7 @@ void analyze_into(TimingReport& out, const netlist::Module& module,
   const double kf0 = lib.calibration().fanout_delay_factor;
   auto source_load = [&](netlist::NetId n) {
     const double sinks =
-        lv.fanout[n].empty() ? 1.0 : static_cast<double>(lv.fanout[n].size());
+        static_cast<double>(std::max<std::size_t>(1, lv.fanout(n).size()));
     return 1.0 + kf0 * (sinks - 1.0);
   };
   for (std::size_t i = 0; i < lv.dffs.size(); ++i) {
@@ -65,7 +65,7 @@ void analyze_into(TimingReport& out, const netlist::Module& module,
   const double buf_delay = lib.params(CellType::kBuf).delay_ms;
   for (const auto& port : module.input_ports()) {
     for (const NetId n : port.nets) {
-      if (lv.fanout[n].size() > 1) {
+      if (lv.fanout(n).size() > 1) {
         arrival[n] = buf_delay * source_load(n);
       }
     }
@@ -87,8 +87,8 @@ void analyze_into(TimingReport& out, const netlist::Module& module,
         worst_in = c.in[k];
       }
     }
-    const double sinks =
-        lv.fanout[c.out].empty() ? 1.0 : static_cast<double>(lv.fanout[c.out].size());
+    const double sinks = static_cast<double>(
+        std::max<std::size_t>(1, lv.fanout(c.out).size()));
     const double load = 1.0 + kf * (sinks - 1.0);
     arrival[c.out] = worst + lib.params(c.type).delay_ms * load;
     pred[c.out] = static_cast<std::int64_t>(worst_in);

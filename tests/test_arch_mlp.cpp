@@ -59,7 +59,8 @@ QuantizedMlp tiny_mlp(int inputs, int hidden, int outputs, int input_bits,
 
 int classify(sim::CycleSimulator& sim, const std::vector<std::int64_t>& xq) {
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   sim.propagate();
   return static_cast<int>(sim.port_unsigned("class"));
@@ -146,7 +147,8 @@ TEST(ApproximateMlp, TruncatesWeightCsd) {
   MlpCircuit circuit = build_mlp_circuit(approx);
   sim::CycleSimulator sim(circuit.module);
   for (std::int64_t a = 0; a <= 7; ++a) {
-    EXPECT_EQ(classify(sim, {a, 3, 7 - a}), approx.predict_codes({a, 3, 7 - a}));
+    EXPECT_EQ(
+        classify(sim, {a, 3, 7 - a}), approx.predict_codes({a, 3, 7 - a}));
   }
 }
 

@@ -51,7 +51,8 @@ QuantizedSvm tiny_ovo(int classes, int features, int input_bits,
 
 int classify(sim::CycleSimulator& sim, const std::vector<std::int64_t>& xq) {
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   sim.propagate();
   return static_cast<int>(sim.port_unsigned("class"));

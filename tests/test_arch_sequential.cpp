@@ -53,7 +53,8 @@ int classify(sim::CycleSimulator& sim, const netlist::Module& m,
              const SequentialSvmCircuit& circuit,
              const std::vector<std::int64_t>& xq) {
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   for (int c = 0; c < circuit.cycles_per_inference; ++c) sim.step();
   (void)m;

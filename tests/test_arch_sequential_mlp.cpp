@@ -60,7 +60,8 @@ QuantizedMlp tiny_mlp(int inputs, int hidden, int outputs, int input_bits,
 int classify(sim::CycleSimulator& sim, const SequentialMlpCircuit& circuit,
              const std::vector<std::int64_t>& xq) {
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   for (int c = 0; c < circuit.cycles_per_inference; ++c) sim.step();
   return static_cast<int>(sim.port_unsigned("class"));

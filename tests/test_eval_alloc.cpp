@@ -23,6 +23,8 @@ PML_INSTALL_COUNTING_ALLOC_HOOK;
 #include "pml/core/verify.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/sim/backend.hpp"
+#include "pml/sim/levelize.hpp"
+#include "pml/util/arena.hpp"
 
 namespace pml::core {
 namespace {
@@ -92,6 +94,37 @@ std::uint64_t steady_state_allocs(const CircuitWorkload& wl,
   EXPECT_EQ(rep.verified_samples, wl.feature_codes.size());
   EXPECT_GT(rep.energy_mj, 0.0);
   return steady_allocs;
+}
+
+// The levelization's fanout is one CSR (offsets + cell ids): refilling a
+// warm one for the same module allocates nothing, and it lists every
+// net's readers exactly as a scan of the cells does.
+TEST(EvalAlloc, WarmLevelizeIntoIsAllocationFree) {
+  const auto circuit = arch::build_sequential_svm(tiny_model());
+  const netlist::Module& m = circuit.module;
+  sim::Levelization lv;
+  util::Arena arena;
+  sim::levelize_into(m, lv, arena);
+  arena.reset();
+  sim::levelize_into(m, lv, arena);
+
+  arena.reset();
+  const std::uint64_t before = util::thread_alloc_count();
+  sim::levelize_into(m, lv, arena);
+  EXPECT_EQ(util::thread_alloc_count() - before, 0u);
+
+  std::vector<std::vector<std::uint32_t>> readers(m.num_nets());
+  for (std::size_t i = 0; i < m.cells().size(); ++i) {
+    const netlist::Cell& c = m.cells()[i];
+    for (int k = 0; k < netlist::cell_num_inputs(c.type); ++k) {
+      readers[c.in[k]].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  ASSERT_EQ(lv.fanout_offsets.size(), m.num_nets() + 1);
+  for (netlist::NetId n = 0; n < m.num_nets(); ++n) {
+    const auto f = lv.fanout(n);
+    EXPECT_EQ(std::vector<std::uint32_t>(f.begin(), f.end()), readers[n]);
+  }
 }
 
 TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {

@@ -60,7 +60,7 @@ TEST(Integration, EventAndCycleSimAgreeOnSequentialSvm) {
   for (std::uint64_t t = 0; t < 30; ++t) {
     const auto xq = pattern(t, 5, q.input_format.max_code());
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      const std::string port = "x" + std::to_string(j);
+      const std::string port = std::string("x").append(std::to_string(j));
       cs.set_port(port, static_cast<std::uint64_t>(xq[j]));
       es.set_port(port, static_cast<std::uint64_t>(xq[j]));
     }
@@ -84,8 +84,10 @@ TEST(Integration, EventSimCountsAtLeastFunctionalToggles) {
   for (std::uint64_t t = 0; t < 10; ++t) {
     const auto xq = pattern(t, 5, q.input_format.max_code());
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      cs.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
-      es.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+      cs.set_port(std::string("x").append(std::to_string(j)),
+                  static_cast<std::uint64_t>(xq[j]));
+      es.set_port(std::string("x").append(std::to_string(j)),
+                  static_cast<std::uint64_t>(xq[j]));
     }
     cs.propagate();
     es.settle();
@@ -134,7 +136,8 @@ TEST(Integration, VcdTraceOfClassification) {
   sim::VcdWriter vcd(sim, os);
   const auto xq = pattern(3, 5, q.input_format.max_code());
   for (std::size_t j = 0; j < xq.size(); ++j) {
-    sim.set_port("x" + std::to_string(j), static_cast<std::uint64_t>(xq[j]));
+    sim.set_port(std::string("x").append(std::to_string(j)),
+                 static_cast<std::uint64_t>(xq[j]));
   }
   for (int c = 0; c < circuit.cycles_per_inference; ++c) {
     sim.propagate();
@@ -144,7 +147,8 @@ TEST(Integration, VcdTraceOfClassification) {
   const std::string out = os.str();
   EXPECT_NE(out.find("$var wire 2 "), std::string::npos) << "class bus";
   EXPECT_NE(out.find("#0"), std::string::npos);
-  EXPECT_NE(out.find("#" + std::to_string(circuit.cycles_per_inference - 1)),
+  EXPECT_NE(out.find(std::string("#").append(
+                std::to_string(circuit.cycles_per_inference - 1))),
             std::string::npos)
       << "the done pulse on the last cycle must appear";
 }
@@ -156,7 +160,7 @@ TEST(Integration, FaultInjectionOnGeneratedCircuit) {
   const auto xq = pattern(5, 5, q.input_format.max_code());
   auto classify = [&]() {
     for (std::size_t j = 0; j < xq.size(); ++j) {
-      sim.set_port("x" + std::to_string(j),
+      sim.set_port(std::string("x").append(std::to_string(j)),
                    static_cast<std::uint64_t>(xq[j]));
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) sim.step();

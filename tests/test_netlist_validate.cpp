@@ -62,7 +62,8 @@ TEST(Validate, CombinationalCycle) {
   // The offender is named: cell index, type, and driven net.
   EXPECT_NE(err->find("through cell 0"), std::string::npos) << *err;
   EXPECT_NE(err->find("AND2"), std::string::npos) << *err;
-  EXPECT_NE(err->find("driving net " + std::to_string(x)), std::string::npos)
+  EXPECT_NE(err->find(std::string("driving net ").append(std::to_string(x))),
+            std::string::npos)
       << *err;
 }
 

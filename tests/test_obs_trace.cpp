@@ -91,7 +91,8 @@ TEST(ObsTrace, RunGroupSpansLandOnDistinctNamedTracks) {
     std::atomic<std::size_t> queue{0};
     util::TaskPool::instance().run_group(
         kThreads, "fanout.worker", [&](std::size_t ti) {
-          set_thread_name("test-worker-" + std::to_string(ti));
+          set_thread_name(
+              std::string("test-worker-").append(std::to_string(ti)));
           PML_OBS_SPAN("fanout.worker");
           // Claim a little work so the span bounds a real loop.
           while (queue.fetch_add(1) < 64) {
@@ -120,7 +121,8 @@ TEST(ObsTrace, RunGroupSpansLandOnDistinctNamedTracks) {
     named.insert(ev.at("args").at("name").string);
   }
   for (std::size_t ti = 0; ti < kThreads; ++ti) {
-    EXPECT_TRUE(named.count("test-worker-" + std::to_string(ti)) == 1)
+    EXPECT_TRUE(named.count(std::string("test-worker-").append(
+                    std::to_string(ti))) == 1)
         << "missing thread name for worker " << ti;
   }
 }

@@ -118,13 +118,14 @@ void expect_equivalent(const Module& a, const Module& b, std::size_t samples,
 /// optional DFFs with drive_net feedback loops, and some dead logic.
 Module random_module(std::uint64_t seed, bool with_dffs) {
   std::uint64_t s = seed * 0x9E3779B97F4A7C15ull + 1;
-  Module m("rand" + std::to_string(seed));
+  Module m(std::string("rand").append(std::to_string(seed)));
   std::vector<NetId> pool{kConst0, kConst1};
 
   const int num_ports = 2 + static_cast<int>(xorshift(s) % 3);
   for (int p = 0; p < num_ports; ++p) {
     const int width = 2 + static_cast<int>(xorshift(s) % 3);
-    for (NetId n : m.add_input_port("x" + std::to_string(p), width)) {
+    for (NetId n : m.add_input_port(std::string("x").append(std::to_string(p)),
+                                    width)) {
       pool.push_back(n);
     }
   }

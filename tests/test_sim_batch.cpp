@@ -125,7 +125,7 @@ void expect_lanewise_equal(const Module& m, int cycles,
   const std::size_t features = xs[0].size();
   std::vector<const netlist::Port*> ports;
   for (std::size_t j = 0; j < features; ++j) {
-    ports.push_back(m.find_input("x" + std::to_string(j)));
+    ports.push_back(m.find_input(std::string("x").append(std::to_string(j))));
     ASSERT_NE(ports.back(), nullptr);
   }
   std::uint64_t lane_values[kLanes];
@@ -207,7 +207,8 @@ TEST(BatchSim, BackToBackFreeRunningMatchesSoftwareModel) {
       for (std::size_t lane = 0; lane < kLanes; ++lane) {
         lane_values[lane] = static_cast<std::uint64_t>(xs[begin + lane][j]);
       }
-      batch.set_port("x" + std::to_string(j), lane_values, kLanes);
+      batch.set_port(std::string("x").append(std::to_string(j)), lane_values,
+                     kLanes);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) batch.step();
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
@@ -233,8 +234,8 @@ TEST(BatchSim, SingleActiveLaneTogglesMatchScalarExactly) {
   for (const auto& x : xs) {
     for (std::size_t j = 0; j < x.size(); ++j) {
       const auto code = static_cast<std::uint64_t>(x[j]);
-      scalar.set_port("x" + std::to_string(j), code);
-      batch.set_port("x" + std::to_string(j), &code, 1);
+      scalar.set_port(std::string("x").append(std::to_string(j)), code);
+      batch.set_port(std::string("x").append(std::to_string(j)), &code, 1);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) {
       scalar.step();
@@ -261,8 +262,9 @@ TEST(BatchSim, InactiveLanesDoNotPolluteToggles) {
     }
     // `one` sees only lane 0's sample; `noisy` additionally carries 63
     // churning inactive lanes.
-    one.set_port("x" + std::to_string(j), lane_values, 1);
-    noisy.set_port("x" + std::to_string(j), lane_values, kLanes);
+    one.set_port(std::string("x").append(std::to_string(j)), lane_values, 1);
+    noisy.set_port(std::string("x").append(std::to_string(j)), lane_values,
+                   kLanes);
   }
   for (int c = 0; c < circuit.cycles_per_inference; ++c) {
     one.step();

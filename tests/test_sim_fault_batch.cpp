@@ -178,7 +178,9 @@ std::vector<std::vector<std::uint64_t>> svm_samples(std::size_t count,
 
 std::vector<std::string> feature_port_names(int features) {
   std::vector<std::string> names;
-  for (int j = 0; j < features; ++j) names.push_back("x" + std::to_string(j));
+  for (int j = 0; j < features; ++j) {
+    names.push_back(std::string("x").append(std::to_string(j)));
+  }
   return names;
 }
 
@@ -255,8 +257,9 @@ TEST(BatchFaultSim, LaneZeroStaysGoldenUnderHeavyFaults) {
   const auto xs = svm_samples(6, 4, q.input_format.max_code(), 13);
   for (const auto& x : xs) {
     for (std::size_t j = 0; j < x.size(); ++j) {
-      batch.set_port_broadcast("x" + std::to_string(j), x[j]);
-      golden.set_port("x" + std::to_string(j), x[j]);
+      batch.set_port_broadcast(std::string("x").append(std::to_string(j)),
+                               x[j]);
+      golden.set_port(std::string("x").append(std::to_string(j)), x[j]);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) {
       batch.step();

@@ -124,7 +124,7 @@ TEST(SvcService, NullRequestRejected) {
   const auto lib = cells::CellLibrary::egfet();
   SweepService service(lib);
   EXPECT_THROW((void)service.submit(SweepRequest{}), std::invalid_argument);
-  EXPECT_THROW((void)service.wait(SweepTicket{0xdeadbeefULL}),
+  EXPECT_THROW((void)service.wait(SweepTicket{0xdeadbeefULL, 0, nullptr}),
                std::invalid_argument);
 }
 

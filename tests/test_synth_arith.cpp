@@ -126,7 +126,8 @@ TEST_P(TreeSize, AdderTreeMatchesSum) {
   Module m;
   std::vector<Bus> ops;
   for (int i = 0; i < k; ++i) {
-    ops.push_back(Bus{m.add_input_port("x" + std::to_string(i), 4)});
+    ops.push_back(
+        Bus{m.add_input_port(std::string("x").append(std::to_string(i)), 4)});
   }
   const Bus sum = adder_tree_signed(m, ops);
   Harness h(m);
@@ -137,7 +138,7 @@ TEST_P(TreeSize, AdderTreeMatchesSum) {
     for (int i = 0; i < k; ++i) {
       s = s * 6364136223846793005ull + 1442695040888963407ull;
       const std::uint64_t r = (s >> 33) & 0xF;
-      h.set("x" + std::to_string(i), r);
+      h.set(std::string("x").append(std::to_string(i)), r);
       expected += sext_val(r, 4);
     }
     h.run();
@@ -152,8 +153,10 @@ TEST(AdderChain, MatchesTreeFunctionally) {
   Module mt, mc;
   std::vector<Bus> ops_t, ops_c;
   for (int i = 0; i < 7; ++i) {
-    ops_t.push_back(Bus{mt.add_input_port("x" + std::to_string(i), 4)});
-    ops_c.push_back(Bus{mc.add_input_port("x" + std::to_string(i), 4)});
+    ops_t.push_back(
+        Bus{mt.add_input_port(std::string("x").append(std::to_string(i)), 4)});
+    ops_c.push_back(
+        Bus{mc.add_input_port(std::string("x").append(std::to_string(i)), 4)});
   }
   const Bus sum_t = adder_tree_signed(mt, ops_t);
   const Bus sum_c = adder_chain_signed(mc, ops_c);
@@ -164,8 +167,8 @@ TEST(AdderChain, MatchesTreeFunctionally) {
     for (int i = 0; i < 7; ++i) {
       s = s * 6364136223846793005ull + 1442695040888963407ull;
       const std::uint64_t r = (s >> 33) & 0xF;
-      ht.set("x" + std::to_string(i), r);
-      hc.set("x" + std::to_string(i), r);
+      ht.set(std::string("x").append(std::to_string(i)), r);
+      hc.set(std::string("x").append(std::to_string(i)), r);
       expected += sext_val(r, 4);
     }
     ht.run();
@@ -183,7 +186,8 @@ TEST(AdderChain, DeeperThanTree) {
     Module m;
     std::vector<Bus> ops;
     for (int i = 0; i < 16; ++i) {
-      ops.push_back(Bus{m.add_input_port("x" + std::to_string(i), 4)});
+      ops.push_back(
+          Bus{m.add_input_port(std::string("x").append(std::to_string(i)), 4)});
     }
     const Bus sum =
         chain ? adder_chain_signed(m, ops) : adder_tree_signed(m, ops);

@@ -40,13 +40,15 @@ TEST_P(MuxNSize, SelectsEachOption) {
   Module m;
   std::vector<Bus> options;
   for (int i = 0; i < n; ++i) {
-    options.push_back(Bus{m.add_input_port("o" + std::to_string(i), 4)});
+    options.push_back(
+        Bus{m.add_input_port(std::string("o").append(std::to_string(i)), 4)});
   }
   const Bus sel{m.add_input_port("s", sel_bits)};
   const Bus out = mux_n(m, options, sel, /*signed_align=*/false);
   Harness h(m);
   for (int i = 0; i < n; ++i) {
-    h.set("o" + std::to_string(i), static_cast<std::uint64_t>(i + 1));
+    h.set(std::string("o").append(std::to_string(i)),
+          static_cast<std::uint64_t>(i + 1));
   }
   for (int i = 0; i < n; ++i) {
     h.set("s", static_cast<std::uint64_t>(i));

@@ -90,7 +90,8 @@ TEST_P(ArgmaxSize, MatchesStdMaxElementWithFirstTie) {
   Module m;
   std::vector<Bus> scores;
   for (int i = 0; i < n; ++i) {
-    scores.push_back(Bus{m.add_input_port("s" + std::to_string(i), 5)});
+    scores.push_back(
+        Bus{m.add_input_port(std::string("s").append(std::to_string(i)), 5)});
   }
   const ArgMax am = argmax_signed(m, scores);
   Harness h(m);
@@ -102,7 +103,7 @@ TEST_P(ArgmaxSize, MatchesStdMaxElementWithFirstTie) {
       // Small range (with negatives) to provoke plenty of ties.
       const std::uint64_t raw = (state >> 40) % 12;
       const std::int64_t sv = static_cast<std::int64_t>(raw) - 4;
-      h.set("s" + std::to_string(i),
+      h.set(std::string("s").append(std::to_string(i)),
             static_cast<std::uint64_t>(sv) & 0x1F);
       vals[static_cast<std::size_t>(i)] = sv;
     }
@@ -120,7 +121,8 @@ TEST(ArgmaxSigned, NegativeScores) {
   Module m;
   std::vector<Bus> scores;
   for (int i = 0; i < 3; ++i) {
-    scores.push_back(Bus{m.add_input_port("s" + std::to_string(i), 4)});
+    scores.push_back(
+        Bus{m.add_input_port(std::string("s").append(std::to_string(i)), 4)});
   }
   const ArgMax am = argmax_signed(m, scores);
   Harness h(m);
@@ -136,7 +138,8 @@ TEST(ArgmaxUnsigned, TreatsValuesAsUnsigned) {
   Module m;
   std::vector<Bus> counts;
   for (int i = 0; i < 2; ++i) {
-    counts.push_back(Bus{m.add_input_port("c" + std::to_string(i), 4)});
+    counts.push_back(
+        Bus{m.add_input_port(std::string("c").append(std::to_string(i)), 4)});
   }
   const ArgMax am = argmax_unsigned(m, counts);
   Harness h(m);
