@@ -12,6 +12,10 @@
 // (so the wide batch words actually fill) and emits simd.<name>_vs_u64
 // ratios — gated in CI as OPTIONAL-IF-UNSUPPORTED.
 //
+// An info line (and the record's list_arena object, not gated) reports
+// the waveform engine's transition-list arena high-water on one full u64
+// batch of the workload.
+//
 // Usage: bench_batch_event [--quick] [--trace out.json] [--metrics]
 //                          [--backend u64|avx2|avx512|auto]
 
@@ -24,8 +28,9 @@
 #include "bench_util.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/activity.hpp"
-#include "pml/sim/backend.hpp"
 #include "pml/core/flow.hpp"
+#include "pml/sim/backend.hpp"
+#include "pml/sim/batch_event_sim.hpp"
 #include "pml/ml/multiclass.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/sim/event_sim.hpp"
@@ -194,6 +199,28 @@ int main(int argc, char** argv) {
     simd.set(name + "_vs_u64", sps / simd_u64_sps);
   }
 
+  // --- list memory ----------------------------------------------------------
+  // The waveform engine's arena high-water on one full 64-lane batch of
+  // the workload (informational, not gated).
+  sim::BatchEventSimulator probe(circuit.module, lib, kQuantumMs,
+                                 aopts.levelization);
+  {
+    std::uint64_t lane_values[sim::BatchEventSimulator::kLanes];
+    for (std::size_t j = 0; j < ports.size(); ++j) {
+      for (std::size_t l = 0; l < sim::BatchEventSimulator::kLanes; ++l) {
+        lane_values[l] =
+            static_cast<std::uint64_t>(wl.feature_codes[l % n][j]);
+      }
+      probe.set_port(*ports[j], lane_values, sim::BatchEventSimulator::kLanes);
+    }
+    for (int c = 0; c < circuit.cycles_per_inference; ++c) probe.step();
+  }
+  const std::size_t arena_bytes =
+      probe.arena_high_water() * sim::BatchEventSimulator::kListEntryBytes;
+  std::cerr << "  list arena (u64, one batch): " << probe.arena_high_water()
+            << " entries (" << arena_bytes / 1024 << " KiB) high-water, "
+            << probe.live_high_water() << " live\n";
+
   // --- machine-readable record ----------------------------------------------
   obs::Json rec = session.record();
   rec.set("dataset", data.name);
@@ -223,6 +250,10 @@ int main(int argc, char** argv) {
   }
   rec.set("thread_scaling", std::move(points));
   rec.set("simd", std::move(simd));
+  rec.set("list_arena", obs::Json::object()
+                            .set("entries", probe.arena_high_water())
+                            .set("live_entries", probe.live_high_water())
+                            .set("bytes", arena_bytes));
   rec.write(std::cout);
   std::cout << "\n";
   session.finish();

@@ -26,6 +26,13 @@
 //    acyclic, so the state after an inference is unique and this equals
 //    warming up on the event engine; only the counted rounds pay for
 //    delay-accurate simulation.
+//  - Counted rounds.  The event engine is a levelized waveform engine:
+//    each settle (or clock half) sweeps the combinational cells once in
+//    Levelization::wave_order, merging each cell's input transition
+//    lists into its output's list, and counts toggles as entries are
+//    appended (see sim/batch_event_sim.hpp).  Its list arena is the
+//    replay's main memory cost per worker slot: about 12 bytes per live
+//    entry on u64, 30-140 k entries on the Table I baselines.
 //  - Segments.  Unless the replay is pinned to one thread, each batch's
 //    counted rounds (if at least two) split into two segments, claimed by
 //    any pool worker, so even a one-batch replay fills two workers.

@@ -84,14 +84,20 @@ class EventSimulator {
   [[nodiscard]] const netlist::Module& module() const { return module_; }
 
  private:
+  /// Events due at one time apply in the order they were scheduled
+  /// (`seq`), so an input staged twice, or a net two drivers reach at
+  /// one tick, ends as the later event says.
   struct Event {
     std::int64_t time;
+    std::uint64_t seq;
     netlist::NetId net;
     std::uint8_t value;
     [[nodiscard]] bool operator>(const Event& o) const {
-      return time > o.time;
+      return time != o.time ? time > o.time : seq > o.seq;
     }
   };
+
+  void schedule(std::int64_t time, netlist::NetId net, std::uint8_t value);
 
   void run_events(bool count);
   void full_settle_zero_delay();
@@ -102,6 +108,7 @@ class EventSimulator {
   std::vector<std::uint8_t> values_;
   std::vector<std::uint8_t> dff_state_;
   std::vector<Event> heap_;
+  std::uint64_t next_seq_ = 0;  ///< scheduling order of the next event
   std::vector<std::pair<netlist::NetId, std::uint8_t>> pending_inputs_;
   std::vector<std::uint32_t> touched_cells_;   // dedup scratch
   std::vector<std::uint64_t> cell_epoch_;      // dedup stamps

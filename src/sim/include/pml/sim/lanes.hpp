@@ -44,6 +44,23 @@ namespace pml::sim {
   return std::uint64_t{1} << (lane & 63);
 }
 
+/// Set bits of one 64-bit chunk.  A build for baseline x86-64 has no
+/// POPCNT instruction, and std::popcount there is a libgcc call
+/// (__popcountdi2) in the middle of every hot loop; the branch-free SWAR
+/// count below inlines instead and returns the same value.  TUs compiled
+/// with POPCNT (the -mavx2 / -mavx512f backend TUs imply it) use the
+/// instruction.
+[[nodiscard]] inline constexpr std::uint64_t popcount64(std::uint64_t x) {
+#if defined(__POPCNT__)
+  return static_cast<std::uint64_t>(std::popcount(x));
+#else
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return (x * 0x0101010101010101ull) >> 56;
+#endif
+}
+
 /// Write the chunked mask with lanes [0, count) set into mask[0, chunks)
 /// (the active / counted lanes of a ragged batch).
 inline void prefix_lane_mask(std::size_t count, std::uint64_t* mask,
@@ -108,9 +125,7 @@ struct LaneU64 {
   /// a & ~b (named after the hardware op the vector backends map it to).
   static Word andnot(Word a, Word b) { return a & ~b; }
   static bool is_zero(Word a) { return a == 0; }
-  static std::uint64_t popcount(Word a) {
-    return static_cast<std::uint64_t>(std::popcount(a));
-  }
+  static std::uint64_t popcount(Word a) { return popcount64(a); }
 };
 static_assert(LaneWord<LaneU64>);
 
@@ -141,8 +156,8 @@ struct LaneAvx2 {
   static std::uint64_t popcount(Word a) {
     alignas(32) std::uint64_t c[kChunks];
     _mm256_store_si256(reinterpret_cast<__m256i*>(c), a);
-    return static_cast<std::uint64_t>(std::popcount(c[0]) + std::popcount(c[1]) +
-                                      std::popcount(c[2]) + std::popcount(c[3]));
+    return popcount64(c[0]) + popcount64(c[1]) + popcount64(c[2]) +
+           popcount64(c[3]);
   }
 };
 static_assert(LaneWord<LaneAvx2>);
@@ -177,9 +192,7 @@ struct LaneAvx512 {
     alignas(64) std::uint64_t c[kChunks];
     _mm512_store_si512(c, a);
     std::uint64_t n = 0;
-    for (const std::uint64_t v : c) {
-      n += static_cast<std::uint64_t>(std::popcount(v));
-    }
+    for (const std::uint64_t v : c) n += popcount64(v);
     return n;
   }
 };

@@ -2,8 +2,9 @@
 // Topological ordering of the combinational subgraph.
 //
 // Shared by the cycle simulator (evaluation order), the event simulators
-// (consistent initialization and the fanout wake lists), the timing
-// analyzer (longest-path DP) and the power model (fanout loads).
+// (consistent initialization, the scalar oracle's fanout wake lists and
+// the waveform engine's sweep order), the timing analyzer (longest-path
+// DP) and the power model (fanout loads).
 
 #include <cstdint>
 #include <memory>
@@ -16,8 +17,16 @@
 namespace pml::sim {
 
 struct Levelization {
-  /// Indices of combinational cells in a valid evaluation order.
+  /// Indices of combinational cells in a valid evaluation order
+  /// (depth-major: every depth-d cell before any depth-(d+1) cell).
   std::vector<std::uint32_t> comb_order;
+  /// The same cells in a depth-first post-order: each cell follows every
+  /// driver of its input nets (all of them, where a net has several), and
+  /// the roots are taken in descending cell order, so the search starts
+  /// from the outputs generators build last.  A value is thus produced
+  /// shortly before its readers run, which is what keeps the waveform
+  /// engine's (BatchEventSimulatorT) live transition lists few.
+  std::vector<std::uint32_t> wave_order;
   /// Indices of all DFF cells.
   std::vector<std::uint32_t> dffs;
   /// Logic depth (number of combinational cells on the longest path feeding
@@ -47,11 +56,11 @@ struct Levelization {
 
 /// Allocation-free form: overwrite `lv` in place, reusing its vector
 /// capacities, with all transient working memory
-/// (driver map, indegrees, ready stack, depth-sort counters) drawn from
-/// `scratch`.  Produces exactly the levelization levelize() returns —
-/// including the deterministic depth-major comb_order — but repeated
-/// calls on same-shaped modules perform zero heap allocation once the
-/// storage and arena are warm (core::EvalContext's steady state).  The
+/// (driver map, indegrees, ready stack, depth-sort counters, DFS stack)
+/// drawn from `scratch`.  Produces exactly the levelization levelize()
+/// returns — including the deterministic comb_order and wave_order — but
+/// repeated calls on same-shaped modules perform zero heap allocation once
+/// the storage and arena are warm (core::EvalContext's steady state).  The
 /// caller owns resetting `scratch`; this function only bump-allocates.
 void levelize_into(const netlist::Module& module, Levelization& lv,
                    util::Arena& scratch);

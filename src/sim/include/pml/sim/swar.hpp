@@ -103,16 +103,6 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   }
 }
 
-/// Every cell, indexed by cell id (BatchEventSimulatorT's wake table).
-inline void swar_cell_ops_into(std::vector<SwarOp>& ops,
-                               const netlist::Module& module) {
-  ops.clear();
-  ops.reserve(module.cells().size());
-  for (const netlist::Cell& c : module.cells()) {
-    ops.push_back(flatten_cell(c));
-  }
-}
-
 inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
                               const netlist::Module& module,
                               const Levelization& lv) {

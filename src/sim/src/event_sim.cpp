@@ -111,6 +111,12 @@ void EventSimulator::set_port(const std::string& name, std::uint64_t value) {
   set_port(*port, value);
 }
 
+void EventSimulator::schedule(std::int64_t time, NetId net,
+                              std::uint8_t value) {
+  heap_.push_back(Event{time, next_seq_++, net, value});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+}
+
 void EventSimulator::run_events(bool count) {
   const auto& cells = module_.cells();
   auto cmp = std::greater<Event>{};
@@ -163,9 +169,7 @@ void EventSimulator::run_events(bool count) {
       const bool b = c.in[1] != netlist::kInvalidNet && values_[c.in[1]] != 0;
       const bool s = c.in[2] != netlist::kInvalidNet && values_[c.in[2]] != 0;
       const std::uint8_t v = netlist::eval_cell(c.type, a, b, s) ? 1 : 0;
-      heap_.push_back(Event{now + delay_ticks_[static_cast<int>(c.type)],
-                            c.out, v});
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
+      schedule(now + delay_ticks_[static_cast<int>(c.type)], c.out, v);
     }
   }
 
@@ -177,10 +181,7 @@ void EventSimulator::run_events(bool count) {
 }
 
 void EventSimulator::settle() {
-  for (const auto& [net, value] : pending_inputs_) {
-    heap_.push_back(Event{0, net, value});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
-  }
+  for (const auto& [net, value] : pending_inputs_) schedule(0, net, value);
   pending_inputs_.clear();
   run_events(/*count=*/true);
 }
@@ -195,8 +196,7 @@ void EventSimulator::step() {
   for (std::size_t i = 0; i < lv_->dffs.size(); ++i) {
     const Cell& c = cells[lv_->dffs[i]];
     if (values_[c.out] != dff_state_[i]) {
-      heap_.push_back(Event{dff_delay, c.out, dff_state_[i]});
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+      schedule(dff_delay, c.out, dff_state_[i]);
     }
   }
   activity_.dff_clock_events += lv_->dffs.size();

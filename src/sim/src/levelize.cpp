@@ -8,6 +8,90 @@ namespace pml::sim {
 using netlist::Cell;
 using netlist::CellType;
 
+namespace {
+
+/// Fill lv.wave_order: a DFS post-order over the combinational cells in
+/// which every comb driver of a cell's input nets — all of a net's
+/// drivers, where it has several — precedes the cell.  Roots go in
+/// descending cell order: on the generated designs that kept the
+/// waveform engine's live lists smaller than ascending order (Derm. SVM
+/// [2], 64 lanes: 351 k against 845 k entries) or a LIFO Kahn order.
+void wave_order_into(const netlist::Module& module, Levelization& lv,
+                     util::Arena& scratch) {
+  const auto& cells = module.cells();
+  const std::size_t num_nets = module.num_nets();
+
+  // Comb drivers per net in CSR form (DFFs start no combinational path).
+  std::uint32_t* const driver_offsets =
+      scratch.alloc<std::uint32_t>(num_nets + 1);
+  std::fill(driver_offsets, driver_offsets + num_nets + 1, 0);
+  for (const Cell& c : cells) {
+    if (c.type != CellType::kDff) ++driver_offsets[c.out + 1];
+  }
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    driver_offsets[n + 1] += driver_offsets[n];
+  }
+  const std::size_t n_comb = lv.comb_order.size();
+  std::uint32_t* const drivers = scratch.alloc<std::uint32_t>(n_comb);
+  std::uint32_t* const cursor = scratch.alloc<std::uint32_t>(num_nets);
+  std::copy(driver_offsets, driver_offsets + num_nets, cursor);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].type != CellType::kDff) {
+      drivers[cursor[cells[i].out]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  // Iterative DFS; a frame resumes at input pin `pin`, driver `next`.
+  struct Frame {
+    std::uint32_t cell;
+    std::uint32_t pin;
+    std::uint32_t next;
+  };
+  enum : std::uint8_t { kNew, kOpen, kDone };
+  std::uint8_t* const state = scratch.alloc<std::uint8_t>(cells.size());
+  std::fill(state, state + cells.size(), kNew);
+  Frame* const stack = scratch.alloc<Frame>(n_comb);
+  lv.wave_order.clear();
+  lv.wave_order.reserve(n_comb);
+  for (std::size_t root = cells.size(); root-- > 0;) {
+    if (cells[root].type == CellType::kDff || state[root] != kNew) continue;
+    std::size_t top = 0;
+    stack[top++] = Frame{static_cast<std::uint32_t>(root), 0, 0};
+    state[root] = kOpen;
+    while (top > 0) {
+      Frame& f = stack[top - 1];
+      const Cell& c = cells[f.cell];
+      const int arity = netlist::cell_num_inputs(c.type);
+      std::uint32_t child = 0;
+      bool descend = false;
+      while (!descend && f.pin < static_cast<std::uint32_t>(arity)) {
+        const netlist::NetId n = c.in[f.pin];
+        if (driver_offsets[n] + f.next == driver_offsets[n + 1]) {
+          ++f.pin;
+          f.next = 0;
+          continue;
+        }
+        child = drivers[driver_offsets[n] + f.next++];
+        if (state[child] == kOpen) {
+          throw std::runtime_error("levelize: combinational cycle in module '" +
+                                   module.name() + "'");
+        }
+        descend = state[child] == kNew;
+      }
+      if (descend) {
+        state[child] = kOpen;
+        stack[top++] = Frame{child, 0, 0};
+        continue;
+      }
+      state[f.cell] = kDone;
+      lv.wave_order.push_back(f.cell);
+      --top;
+    }
+  }
+}
+
+}  // namespace
+
 Levelization levelize(const netlist::Module& module) {
   Levelization lv;
   util::Arena scratch;
@@ -119,6 +203,7 @@ void levelize_into(const netlist::Module& module, Levelization& lv,
     }
     std::copy(sorted, sorted + n_comb, lv.comb_order.begin());
   }
+  wave_order_into(module, lv, scratch);
 }
 
 std::shared_ptr<const Levelization> levelize_shared(

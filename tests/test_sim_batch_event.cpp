@@ -401,21 +401,26 @@ TEST(BatchEventSim, FunctionalSplitCountsSurvivingTransitionsExactly) {
   EXPECT_EQ(scalar.activity().net_toggles[y], 8u);
 }
 
-// An input net staged twice before one settle() takes both changes in
-// staging order, as the scalar oracle does, lane by lane: a lane whose
-// second bit restores its value toggles twice, one whose first bit
-// equals its value toggles at most once.
+// Inputs staged twice before one settle() take both changes in staging
+// order, as the scalar oracle does (its heap breaks time ties by
+// scheduling order), lane by lane: a lane whose second bit restores its
+// value toggles twice, one whose first bit equals its value toggles at
+// most once.  Staging a whole port twice puts 16 events in the heap at
+// time 0, so an oracle that popped ties in heap order would apply some
+// first writes after second ones.
 TEST(BatchEventSim, InputStagedTwiceMatchesScalar) {
-  // y = XOR(a, INV^3(a)) glitches on every edge of a.  With one input net
-  // the scalar oracle's heap holds exactly the two staged events at time
-  // 0, so it too applies them in staging order.
+  // y_i = XOR(x_i, INV^3(x_{i+1})) glitches on edges of either input.
   Module m;
-  const auto a = m.add_input_port("a", 1)[0];
-  auto n = a;
-  for (int i = 0; i < 3; ++i) n = m.add_gate_raw(CellType::kInv, n);
-  const auto y = m.add_gate_raw(CellType::kXor2, a, n);
-  m.add_output_port("y", {y});
+  const auto x = m.add_input_port("x", 8);
+  std::vector<NetId> ys;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    NetId n = x[(i + 1) % x.size()];
+    for (int k = 0; k < 3; ++k) n = m.add_gate_raw(CellType::kInv, n);
+    ys.push_back(m.add_gate_raw(CellType::kXor2, x[i], n));
+  }
+  m.add_output_port("y", ys);
   const auto lib = cells::CellLibrary::egfet();
+  const netlist::Port& port = *m.find_input("x");
 
   BatchEventSimulator batch(m, lib, 0.01);
   std::vector<std::unique_ptr<EventSimulator>> scalar;
@@ -423,27 +428,33 @@ TEST(BatchEventSim, InputStagedTwiceMatchesScalar) {
     scalar.push_back(std::make_unique<EventSimulator>(m, lib, 0.01));
   }
   std::uint64_t s = 77;
+  std::uint64_t first[kLanes];
+  std::uint64_t second[kLanes];
   for (int round = 0; round < 12; ++round) {
-    // Every round mixes lanes whose two staged bits are equal, differ,
+    // Every round mixes lanes whose two staged values are equal, differ,
     // restore the current value, or leave it alone.
-    const std::uint64_t first = xorshift(s);
-    const std::uint64_t second = round % 3 == 0 ? first : xorshift(s);
-    batch.set_net_chunks(a, &first);
-    batch.set_net_chunks(a, &second);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      first[lane] = xorshift(s) & 0xFF;
+      second[lane] = (round + lane) % 3 == 0 ? first[lane] : xorshift(s) & 0xFF;
+    }
+    batch.set_port(port, first, kLanes);
+    batch.set_port(port, second, kLanes);
     batch.settle();
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      scalar[lane]->set_net(a, ((first >> lane) & 1u) != 0);
-      scalar[lane]->set_net(a, ((second >> lane) & 1u) != 0);
+      scalar[lane]->set_port(port, first[lane]);
+      scalar[lane]->set_port(port, second[lane]);
       scalar[lane]->settle();
       EXPECT_EQ(batch.port_unsigned("y", lane),
                 scalar[lane]->port_unsigned("y"));
+      EXPECT_EQ(batch.port_unsigned("x", lane),
+                scalar[lane]->port_unsigned("x"));
     }
   }
   ActivityStats sum;
   for (const auto& sim : scalar) sum.accumulate(sim->activity());
   EXPECT_EQ(batch.activity().net_toggles, sum.net_toggles);
   EXPECT_EQ(batch.activity().net_functional, sum.net_functional);
-  EXPECT_GT(sum.net_toggles[y], 0u);
+  EXPECT_GT(sum.net_toggles[ys[0]], 0u);
 }
 
 // --- count masking -----------------------------------------------------------
