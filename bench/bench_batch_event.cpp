@@ -8,9 +8,10 @@
 // the human-readable summary goes to stderr.
 //
 // A SIMD comparison section times every compiled+supported wide lane-word
-// backend (AVX2, AVX-512) against the u64 reference with a finer chunking
-// (so the wide batch words actually fill) and emits simd.<name>_vs_u64
-// ratios — gated in CI as OPTIONAL-IF-UNSUPPORTED.
+// backend (AVX2, AVX-512) against the u64 reference (one lane per sample,
+// so the quick workload's 2130 samples fill four AVX-512 words and part of
+// a fifth) and emits simd.<name>_vs_u64 ratios — gated in CI as
+// OPTIONAL-IF-UNSUPPORTED.
 //
 // An info line (and the record's list_arena object, not gated) reports
 // the waveform engine's transition-list arena high-water on one full u64
@@ -41,11 +42,10 @@ using namespace pml;
 namespace {
 
 constexpr double kQuantumMs = core::kTimeQuantumMs;
-constexpr std::size_t kChunk = 16;
 
-/// Scalar reference loop: exactly what evaluate_circuit's power step did
-/// before the batch-event subsystem (warm-up on the first sample, then a
-/// single free-running sample-at-a-time replay).
+/// Scalar reference loop, the back-to-back protocol collect_activity
+/// reproduces: reset, run sample n - 1 uncounted, then count samples
+/// 0 .. n-1 one after another.
 sim::ActivityStats run_scalar(const netlist::Module& module,
                               const cells::CellLibrary& lib, int cycles,
                               const core::CircuitWorkload& wl, std::size_t n,
@@ -58,7 +58,8 @@ sim::ActivityStats run_scalar(const netlist::Module& module,
     }
     for (int c = 0; c < cycles; ++c) esim.step();
   };
-  apply(0);
+  esim.reset();
+  apply(n - 1);
   esim.clear_activity();
   for (std::size_t s = 0; s < n; ++s) apply(s);
   return esim.activity();
@@ -127,7 +128,6 @@ int main(int argc, char** argv) {
   // --- batch event, single thread --------------------------------------------
   core::ActivityOptions aopts;
   aopts.num_threads = 1;
-  aopts.chunk_samples = kChunk;
   aopts.backend = sim::parse_backend(args.backend);
   aopts.levelization = sim::levelize_shared(circuit.module);
   sw.restart();
@@ -165,15 +165,13 @@ int main(int argc, char** argv) {
   }
 
   // --- SIMD backend comparison -----------------------------------------------
-  // Wide batch words need many lane-streams to fill: chunk_samples=4
-  // cuts the workload into n/4 chunks (512 for the quick 2048-sample
-  // workload — exactly one full AVX-512 batch), and the u64 reference is
-  // re-timed under the identical chunking so the ratio isolates the lane
-  // width.  Merged counts must stay bit-identical throughout.
+  // One lane per sample fills every wide word but a ragged last one, and
+  // the u64 reference is re-timed on the same thread so the ratio
+  // isolates the lane width.  Merged counts must stay bit-identical
+  // throughout.
   const auto time_backend = [&](sim::Backend b) {
     core::ActivityOptions sopts = aopts;
     sopts.num_threads = 1;
-    sopts.chunk_samples = 4;
     sopts.backend = b;
     benchutil::Stopwatch ssw;
     const sim::ActivityStats r = core::collect_activity(

@@ -5,9 +5,8 @@
 // One EvalContext owns every piece of reusable storage an evaluation
 // needs — the shared Levelization and its arena-backed working arrays,
 // per worker slot one pooled zero-delay and one event engine per SIMD
-// backend plus an ActivityStats partial, the power replay's seam
-// snapshots, the optimizer's module copy, and the timing/activity/power
-// result records.  evaluate_circuit_into
+// backend, the power replay's lane states, the optimizer's module copy,
+// and the timing/activity/power result records.  evaluate_circuit_into
 // threads it through verify_workload and collect_activity (via
 // VerifyOptions::context / ActivityOptions::context; a call without one
 // runs on a call-local context, built per call), so after the first
@@ -60,13 +59,12 @@ class EvalContext {
   using EngineSlots =
       std::array<std::shared_ptr<void>,
                  static_cast<std::size_t>(sim::Backend::kAvx512) + 1>;
-  /// Per-worker-slot simulators and activity partial.  Slots live in a
-  /// deque so growing the pool never moves (or copies) a simulator that
-  /// an earlier evaluation warmed up.
+  /// Per-worker-slot simulators.  Slots live in a deque so growing the
+  /// pool never moves (or copies) a simulator that an earlier evaluation
+  /// warmed up.
   struct WorkerScratch {
     EngineSlots batch;  ///< verification, replay warm-ups (BatchSimulatorT)
-    EngineSlots event;  ///< power replay (BatchEventSimulatorT)
-    sim::ActivityStats activity;  ///< this slot's partial counts
+    EngineSlots event;  ///< power replay and its counts (BatchEventSimulatorT)
   };
 
   EvalContext() = default;
@@ -86,7 +84,6 @@ class EvalContext {
   /// index; the deque itself is not synchronized).
   void ensure_workers(std::size_t n);
   [[nodiscard]] WorkerScratch& worker(std::size_t i) { return workers_[i]; }
-  [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
 
   /// Scratch arena shared by levelize() and sta::analyze_into within one
   /// evaluation.  levelize() resets it, so per-evaluation consumers must
@@ -98,7 +95,9 @@ class EvalContext {
   // each evaluation overwrites them completely.
   std::vector<const netlist::Port*> ports;  ///< feature-port resolution
   sim::ActivityStats merged_activity;       ///< merged power-replay counts
-  std::vector<std::uint64_t> seam_states;   ///< power-replay seam snapshots
+  /// Power replay: each batch's warmed and end lane states, for the
+  /// check that every lane was warmed into its predecessor's end state.
+  std::vector<std::uint64_t> replay_states;
   sta::TimingReport timing;
   power::PowerReport power;
   netlist::Module module_scratch;  ///< the optimizer's working copy

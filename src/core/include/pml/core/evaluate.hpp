@@ -69,7 +69,7 @@ struct EvaluateOptions {
   opt::OptOptions optimize;
   /// SIMD lane-word backend for the verify and activity phases (and the
   /// cost-model probe replays).  kAuto picks the widest backend the CPU
-  /// supports, except that an activity replay whose chunks fit 64 lanes
+  /// supports, except that an activity replay whose samples fit 64 lanes
   /// runs on u64; results are bit-identical across backends — only
   /// throughput changes.
   sim::Backend backend = sim::Backend::kAuto;

@@ -17,11 +17,12 @@
 // Width-invariance (why every backend returns identical results):
 //  - verify: each lane's sample is simulated independently; lane packing
 //    only changes which word a sample rides in, never its value stream.
-//  - activity: chunk_samples defines the per-chunk replay streams; each
-//    chunk warms up and counts independently, so the summed counters are
-//    independent of how chunks are grouped into batches.  Splitting a
-//    batch's rounds into segments is checked at every seam and undone
-//    when a seam differs, so it never changes the counters either.
+//  - activity: each lane replays one sample, warmed up on the sample
+//    before it, so a lane's counts do not depend on which batch or word
+//    carries it.  The replay then checks that every warm-up reproduced
+//    its predecessor's end state and otherwise replays back to back on
+//    one lane; either way the counters are those of the back-to-back
+//    replay.
 //  - fault: every batch starts from power-on reset and variants are
 //    lane-independent, so per-variant counts do not depend on packing
 //    (63 vs 255 vs 511 variants per pass).
@@ -172,179 +173,133 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
 
 // --- activity ---------------------------------------------------------------
 
-/// Lane layout of one replay batch: lane `l` replays chunk chunk_begin + l.
-struct ReplayBatch {
-  std::size_t chunk_begin = 0;
-  std::size_t lanes = 0;
-  std::size_t chunk_samples = 0;
-  std::size_t num_samples = 0;
-
-  /// Samples in lane `lane`'s chunk (>= 1; only the final chunk is ragged).
-  [[nodiscard]] std::size_t len(std::size_t lane) const {
-    return std::min(chunk_samples,
-                    num_samples - (chunk_begin + lane) * chunk_samples);
-  }
-  /// Lane `lane`'s sample at round `r`, held at its chunk's last sample
-  /// once a ragged chunk is exhausted: holding the inputs produces no
-  /// events in that lane, and the count mask excludes it.
-  [[nodiscard]] std::size_t sample(std::size_t lane, std::size_t r) const {
-    return (chunk_begin + lane) * chunk_samples + std::min(r, len(lane) - 1);
-  }
-  /// Counted rounds: lane 0 carries the batch's longest chunk.
-  [[nodiscard]] std::size_t rounds() const { return len(0); }
-};
-
-/// Replay counted rounds [r0, r1) of `batch` and add their counts to
-/// `stats`.  The lanes first warm up on the zero-delay engine, from reset,
-/// on the samples of round max(r0, 1) - 1, and the event engine adopts
-/// that settled state.  `warm_state` / `end_state` (either may be null)
-/// receive the lane state after the warm-up and after round r1 - 1, for
-/// the seam check.
+/// Warm lanes [0, lanes) up from reset on the zero-delay engine, lane l on
+/// the sample before first + l (cyclically, so sample 0 warms up on the
+/// last one), and hand the settled state to the event engine with lanes
+/// [0, lanes) counted.  The warm-up adds nothing to the event engine's
+/// counters.
 template <class L>
-void run_replay_segment(sim::BatchSimulatorT<L>& zsim,
-                        sim::BatchEventSimulatorT<L>& esim,
-                        const ActivityJob& job, const ReplayBatch& batch,
-                        std::size_t r0, std::size_t r1,
-                        std::uint64_t* warm_state, std::uint64_t* end_state,
-                        sim::ActivityStats& stats) {
+void warm_up(sim::BatchSimulatorT<L>& zsim, sim::BatchEventSimulatorT<L>& esim,
+             const ActivityJob& job, std::size_t first, std::size_t lanes) {
+  const std::size_t n = job.num_samples;
   zsim.reset();
-  zsim.set_active_lanes(batch.lanes);
-  PML_OBS_COUNT("sim.batch.live_lanes", batch.lanes);
-  const std::size_t warm = r0 == 0 ? 0 : r0 - 1;
-  run_inference(zsim, job, batch.lanes,
-                [&](std::size_t l) { return batch.sample(l, warm); });
+  run_inference(zsim, job, lanes,
+                [&](std::size_t l) { return (first + l + n - 1) % n; });
   esim.import_state(zsim);
-  if (warm_state != nullptr) zsim.export_state(warm_state);
-
-  esim.clear_activity();
   std::uint64_t mask[L::kChunks];
-  for (std::size_t r = r0; r < r1; ++r) {
-    std::fill(mask, mask + L::kChunks, 0);
-    for (std::size_t lane = 0; lane < batch.lanes; ++lane) {
-      if (r < batch.len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
-    }
-    esim.set_count_mask_chunks(mask);
-    run_inference(esim, job, batch.lanes,
-                  [&](std::size_t l) { return batch.sample(l, r); });
-  }
-  stats.accumulate(esim.activity());
-  if (end_state != nullptr) esim.export_state(end_state);
+  sim::prefix_lane_mask(lanes, mask, L::kChunks);
+  esim.set_count_mask_chunks(mask);
 }
 
-/// Counted-round segments per batch: two, so a replay with fewer batches
-/// than workers still fills them (more segments measured no faster),
-/// unless the replay is pinned to one thread.
-[[nodiscard]] inline std::size_t replay_segments(const ActivityJob& job) {
-  if (job.segments != 0) return job.segments;
-  return job.num_threads == 1 ? 1 : 2;
+/// The replay's exactness check for one batch of `count` lanes: in every
+/// state element (kChunks words), lane l of `warm` must equal lane l - 1
+/// of `end` for l in [1, count), and lane 0 must equal lane `prev_last` of
+/// `prev_end`, the end state of the sample before the batch's first.
+template <std::size_t kChunks>
+[[nodiscard]] bool lanes_chain(const std::uint64_t* warm,
+                               const std::uint64_t* end, std::size_t count,
+                               const std::uint64_t* prev_end,
+                               std::size_t prev_last, std::size_t words) {
+  std::uint64_t live[kChunks];
+  sim::prefix_lane_mask(count, live, kChunks);
+  for (std::size_t w = 0; w < words; w += kChunks) {
+    // Shift `end` up one lane across the chunks; the predecessor's last
+    // lane shifts into lane 0.
+    std::uint64_t carry = sim::extract_lane(prev_end + w, prev_last) ? 1 : 0;
+    std::uint64_t diff = 0;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      diff |= (warm[w + c] ^ (end[w + c] << 1 | carry)) & live[c];
+      carry = end[w + c] >> 63;
+    }
+    if (diff != 0) return false;
+  }
+  return true;
 }
 
 template <class L>
 void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   constexpr std::size_t kLanes = L::kWidth;
-  const std::size_t num_batches = (job.num_chunks + kLanes - 1) / kLanes;
-  const auto batch_at = [&](std::size_t b) {
-    const std::size_t begin = b * kLanes;
-    return ReplayBatch{begin, std::min(kLanes, job.num_chunks - begin),
-                       job.chunk_samples, job.num_samples};
+  const std::size_t n = job.num_samples;
+  const std::size_t num_batches = (n + kLanes - 1) / kLanes;
+  const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
+  const auto lanes_of = [&](std::size_t b) {
+    return std::min(kLanes, n - b * kLanes);
   };
-  // Every segment needs a counted round, and the last batch is the
-  // shortest.
-  const std::size_t segments =
-      std::min(replay_segments(job), batch_at(num_batches - 1).rounds());
 
-  // Seam snapshots: for batch b and seam k (between segments k-1 and k),
-  // the warmed state of segment k, then the end state of segment k-1.
-  // Each segment writes its own slots, so workers need no locking.
+  // Batch b's warmed state, then its end state.  Each batch writes its
+  // own slots, so workers need no locking.
   const std::size_t words =
       sim::BatchEventSimulatorT<L>::state_words(*job.module, *job.lv);
-  std::vector<std::uint64_t>& seams = job.context->seam_states;
-  seams.assign(2 * num_batches * (segments - 1) * words, 0);
-  const auto seam = [&](std::size_t b, std::size_t k, bool end) {
-    return seams.data() + ((b * (segments - 1) + k - 1) * 2 + end) * words;
+  std::vector<std::uint64_t>& states = job.context->replay_states;
+  states.resize(2 * num_batches * words);
+  const auto state = [&](std::size_t b, bool end) {
+    return states.data() + (2 * b + end) * words;
   };
 
-  // One stats slot per worker, in the context's worker slots; summed
-  // after the join.  Addition of integer counts is commutative, so the
-  // total is independent of which worker claims which segment.
-  // ActivityStats is plain scalar counters, so the slots are shared by
-  // every backend.
-  const std::size_t nets = job.module->num_nets();
-
-  // One replay with `segs` segments per batch; returns the slots used.
-  const auto replay = [&](std::size_t segs) {
-    const std::size_t items = num_batches * segs;
-    const std::size_t num_threads = clamp_threads(job.num_threads, items);
-    job.context->ensure_workers(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      sim::ActivityStats& p = job.context->worker(t).activity;
-      p.net_toggles.assign(nets, 0);
-      p.net_functional.assign(nets, 0);
-      p.dff_clock_events = 0;
-      p.cycles = 0;
+  // Each worker's event engine accumulates the counts of the batches it
+  // claims; they are summed after the join.  Addition of integer counts
+  // is commutative, so the total is independent of which worker claims
+  // which batch.
+  job.context->ensure_workers(num_threads);
+  std::atomic<std::size_t> next_batch{0};
+  auto worker = [&](std::size_t slot) {
+    PML_OBS_SPAN("activity.worker");
+    // Rebind this slot's warmed engines (zero allocation for
+    // same-shaped modules; clears the event engine's counters).
+    EvalContext::WorkerScratch& ws = job.context->worker(slot);
+    sim::BatchSimulatorT<L>& zsim = pooled_batch<L>(ws);
+    sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(ws);
+    if (esim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
+    zsim.rebind(*job.module, job.lv);
+    esim.rebind(*job.module, *job.lib, kTimeQuantumMs, job.lv);
+    for (;;) {
+      // Cancellation checkpoint between batches (see verify loop).
+      if (job.cancel != nullptr) job.cancel->check("activity.batch");
+      const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
+      if (b >= num_batches) return;
+      const std::size_t begin = b * kLanes;
+      const std::size_t count = lanes_of(b);
+      // Occupancy: sample-carrying lanes, against the lane words each
+      // engine evaluates.  Each sums to the sample count on every backend.
+      PML_OBS_COUNT("sim.batch_event.batches", 1);
+      PML_OBS_COUNT("sim.batch_event.live_lanes", count);
+      PML_OBS_COUNT("sim.batch.live_lanes", count);
+      warm_up<L>(zsim, esim, job, begin, count);
+      zsim.export_state(state(b, false));
+      run_inference(esim, job, count,
+                    [begin](std::size_t l) { return begin + l; });
+      esim.export_state(state(b, true));
     }
-    std::atomic<std::size_t> next_item{0};
-    auto worker = [&](std::size_t slot) {
-      PML_OBS_SPAN("activity.worker");
-      // Rebind this slot's warmed engines (zero allocation for
-      // same-shaped modules).
-      EvalContext::WorkerScratch& ws = job.context->worker(slot);
-      sim::BatchSimulatorT<L>& zsim = pooled_batch<L>(ws);
-      sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(ws);
-      if (esim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
-      zsim.rebind(*job.module, job.lv);
-      esim.rebind(*job.module, *job.lib, kTimeQuantumMs, job.lv);
-      for (;;) {
-        // Cancellation checkpoint between segments (see verify loop).
-        if (job.cancel != nullptr) job.cancel->check("activity.batch");
-        const std::size_t i = next_item.fetch_add(1, std::memory_order_relaxed);
-        if (i >= items) return;
-        const std::size_t b = i / segs;
-        const std::size_t k = i % segs;
-        const ReplayBatch batch = batch_at(b);
-        if (k == 0) {
-          // Occupancy: chunk-carrying lanes, against the lane words the
-          // engine evaluates (sim.batch_event.lane_words).  Sums to the
-          // chunk count on every backend.
-          PML_OBS_COUNT("sim.batch_event.batches", 1);
-          PML_OBS_COUNT("sim.batch_event.live_lanes", batch.lanes);
-        }
-        PML_OBS_COUNT("sim.batch_event.segments", 1);
-        const std::size_t rounds = batch.rounds();
-        run_replay_segment<L>(zsim, esim, job, batch, k * rounds / segs,
-                              (k + 1) * rounds / segs,
-                              k > 0 ? seam(b, k, false) : nullptr,
-                              k + 1 < segs ? seam(b, k + 1, true) : nullptr,
-                              ws.activity);
-      }
-    };
-    util::TaskPool::instance().run_group(num_threads, "activity.worker",
-                                         worker);
-    return num_threads;
   };
+  util::TaskPool::instance().run_group(num_threads, "activity.worker", worker);
 
-  std::size_t slots = replay(segments);
-  bool seams_hold = true;
-  for (std::size_t b = 0; b < num_batches && seams_hold; ++b) {
-    for (std::size_t k = 1; k < segments && seams_hold; ++k) {
-      seams_hold = std::equal(seam(b, k, false), seam(b, k, false) + words,
-                              seam(b, k, true));
+  bool chained = true;
+  for (std::size_t b = 0; b < num_batches && chained; ++b) {
+    const std::size_t prev = (b + num_batches - 1) % num_batches;
+    chained = lanes_chain<L::kChunks>(state(b, false), state(b, true),
+                                      lanes_of(b), state(prev, true),
+                                      lanes_of(prev) - 1, words);
+  }
+  if (chained) {
+    out = pooled_event<L>(job.context->worker(0)).activity();
+    for (std::size_t t = 1; t < num_threads; ++t) {
+      out.accumulate(pooled_event<L>(job.context->worker(t)).activity());
     }
+    return;
   }
-  if (!seams_hold) {
-    // Some lane's state depends on more than its last input: the warm-up
-    // did not reproduce the replay's state, so replay every batch whole.
-    PML_OBS_COUNT("sim.batch_event.seam_fallbacks", 1);
-    slots = replay(1);
+  // Some lane's state depends on more than its last input, so a warm-up
+  // did not reproduce the state its predecessor left.  Replay the samples
+  // back to back on one lane of slot 0's engines (bound above), after the
+  // same warm-up on sample n - 1.
+  PML_OBS_COUNT("sim.batch_event.seam_fallbacks", 1);
+  sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(job.context->worker(0));
+  warm_up<L>(pooled_batch<L>(job.context->worker(0)), esim, job, 0, 1);
+  esim.clear_activity();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (job.cancel != nullptr) job.cancel->check("activity.batch");
+    run_inference(esim, job, 1, [s](std::size_t) { return s; });
   }
-
-  out.net_toggles.assign(nets, 0);
-  out.net_functional.assign(nets, 0);
-  out.dff_clock_events = 0;
-  out.cycles = 0;
-  for (std::size_t t = 0; t < slots; ++t) {
-    out.accumulate(job.context->worker(t).activity);
-  }
+  out = esim.activity();
 }
 
 // --- fault campaign ---------------------------------------------------------
@@ -461,8 +416,6 @@ void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
 template <class L>
 [[nodiscard]] constexpr Kernels make_kernels() {
   Kernels k;
-  k.backend = kBackendOf<L>;
-  k.lanes = L::kWidth;
   k.verify = &run_verify_loop<L>;
   k.activity = &run_activity_loop<L>;
   k.fault = &run_fault_loop<L>;

@@ -60,14 +60,9 @@ struct VerifyJob : JobBase {
 
 struct ActivityJob : JobBase {
   const cells::CellLibrary* lib = nullptr;
+  /// Replayed samples: one lane each.
   std::size_t num_samples = 0;
-  std::size_t chunk_samples = 0;
-  /// ceil(num_samples / chunk_samples): one lane stream per chunk.
-  std::size_t num_chunks = 0;
   EvalContext* context = nullptr;
-  /// Forced counted-round segments per batch; 0 = auto (see
-  /// replay_segments in batch_loops.hpp).
-  std::size_t segments = 0;
 };
 
 struct FaultJob : JobBase {
@@ -97,11 +92,8 @@ void prepare_job(JobBase& job, const char* who, const netlist::Module& module,
 [[nodiscard]] const netlist::Port* class_port(const netlist::Module& module,
                                               const char* who);
 
-/// One backend's kernel table.  `lanes` is the batch width the kernels
-/// shard work by (64 / 256 / 512).
+/// One backend's kernel table.
 struct Kernels {
-  sim::Backend backend = sim::Backend::kU64;
-  std::size_t lanes = 0;
   void (*verify)(const VerifyJob&, VerifyResult&) = nullptr;
   void (*activity)(const ActivityJob&, sim::ActivityStats&) = nullptr;
   void (*fault)(const FaultJob&, FaultCampaignResult&) = nullptr;

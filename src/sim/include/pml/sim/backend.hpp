@@ -68,7 +68,7 @@ enum class Backend : std::uint8_t {
 ///     misconfigured CI leg must fail loudly, not silently fall back;
 ///     "auto" and empty mean no override).  Otherwise pick kU64 when the
 ///     work's `needed_lanes` independent lane streams fit its 64 lanes
-///     (activity replay passes its chunk count), else the widest
+///     (activity replay passes its sample count), else the widest
 ///     available backend — always the widest when no count is given.
 ///   - concrete: returned as-is when available, otherwise throws
 ///     std::runtime_error naming what is missing (not compiled vs not

@@ -68,8 +68,7 @@
 
 // Transition counts (the input to power::estimate's glitch-aware dynamic
 // power) are accumulated per net under the count mask, so ragged (< kLanes
-// stream) batches, per-lane stream exhaustion, and warm-up cycles stay
-// exact: the accumulated ActivityStats equal the sum of scalar
+// stream) batches and warm-up cycles stay exact: the accumulated ActivityStats equal the sum of scalar
 // EventSimulator ActivityStats over the counted lanes' sample histories.
 //
 // This is the engine behind core::collect_activity (the power replay) and
@@ -204,8 +203,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   /// kChunks mask words (lane L -> chunk L/64, bit L%64): bit L set iff
   /// lane L accumulates into the activity counters.  All lanes always
   /// *simulate*; masked-out lanes are simply not counted (used for ragged
-  /// batches and per-lane stream exhaustion; prefix_lane_mask builds the
-  /// common lanes-[0, n) form).
+  /// batches; prefix_lane_mask builds the common lanes-[0, n) form).
   void set_count_mask_chunks(const std::uint64_t* mask) {
     std::copy(mask, mask + kChunks, count_mask_);
   }
@@ -267,7 +265,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   /// popcount(count_mask) — so the totals equal the sum of per-lane scalar
   /// EventSimulator ActivityStats.
   [[nodiscard]] const ActivityStats& activity() const { return activity_; }
-  /// Zero the counters (e.g. after a warm-up round).
+  /// Zero the counters (e.g. after a warm-up).
   void clear_activity() {
     std::fill(activity_.net_toggles.begin(), activity_.net_toggles.end(), 0);
     std::fill(activity_.net_functional.begin(), activity_.net_functional.end(),

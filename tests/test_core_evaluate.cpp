@@ -163,9 +163,9 @@ TEST(Evaluate, PowerReplayDeterministicAcrossThreadCounts) {
       circuit.module, circuit.cycles_per_inference, lib, wl, single);
   const HardwareReport b = evaluate_circuit(
       circuit.module, circuit.cycles_per_inference, lib, wl, multi);
-  // The merged activity is deterministic in the sample count alone (the
-  // auto chunking is sized from it), so the power numbers are
-  // bit-identical across worker configurations.
+  // The merged activity is deterministic in the samples alone (one lane
+  // each), so the power numbers are bit-identical across worker
+  // configurations.
   EXPECT_EQ(a.dynamic_mw, b.dynamic_mw);
   EXPECT_EQ(a.energy_mj, b.energy_mj);
 }

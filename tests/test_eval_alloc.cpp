@@ -132,7 +132,7 @@ TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(tiny_workload(q), zero_alloc_options()), 0u);
 }
 
-// 512 power samples replay as 128 chunks, more than one u64 word holds, so
+// 512 power samples replay one per lane, more than one u64 word holds, so
 // activity runs on a wide engine (where the CPU has one) beside the wide
 // verify engine.  Both must stay pooled in the same worker scratch: a
 // replay that resolved to a different wide backend than verification

@@ -391,11 +391,10 @@ TEST(SimBackendEquivalence, MergedActivityMatchesU64) {
   const auto lib = cells::CellLibrary::egfet();
   const auto wl = svm_workload(
       q, random_samples(180, 3, q.input_format.max_code(), 61));
-  // chunk_samples defines the lane-streams; the merged counts must be
-  // invariant to how many streams ride per batch word.
+  // One lane per sample; the merged counts must be invariant to how many
+  // samples ride per batch word (180 = 2 x 64 + 52 on u64).
   ActivityOptions ref_opts;
   ref_opts.backend = Backend::kU64;
-  ref_opts.chunk_samples = 7;  // ragged: 180 = 25x7 + 5
   const sim::ActivityStats ref =
       collect_activity(circuit.module, lib, circuit.cycles_per_inference, wl,
                        wl.feature_codes.size(), ref_opts);
@@ -412,46 +411,10 @@ TEST(SimBackendEquivalence, MergedActivityMatchesU64) {
   }
 }
 
-// Auto chunk sizing (chunk_samples = 0) is a pure function of the sample
-// count: neither the host's widest backend nor PML_SIM_BACKEND may move
-// it, even with the backend pinned.  24, 300 and 1500 straddle the clamp
-// boundaries; at 1500 a chunk size derived from the resolved lane width
-// would differ between u64 (6) and AVX-512 (4).
-TEST(SimBackendEquivalence, AutoChunkingIgnoresBackendEnvironment) {
-  const QuantizedSvm q = random_svm(3, 3, 3, 4, 29);
-  auto circuit = arch::build_sequential_svm(q);
-  const auto lib = cells::CellLibrary::egfet();
-  const auto wl = svm_workload(
-      q, random_samples(1500, 3, q.input_format.max_code(), 67));
-  for (const std::size_t n : {24u, 300u, 1500u}) {
-    SCOPED_TRACE(n);
-    ActivityOptions opts;
-    opts.backend = Backend::kU64;
-    const auto run = [&] {
-      return collect_activity(circuit.module, lib,
-                              circuit.cycles_per_inference, wl, n, opts);
-    };
-    sim::ActivityStats ref;
-    {
-      const ScopedBackendEnv env(nullptr);
-      ref = run();
-    }
-    for (const Backend b : sim::available_backends()) {
-      SCOPED_TRACE(sim::backend_name(b));
-      const ScopedBackendEnv env(sim::backend_name(b));
-      const sim::ActivityStats got = run();
-      EXPECT_EQ(got.net_toggles, ref.net_toggles);
-      EXPECT_EQ(got.net_functional, ref.net_functional);
-      EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
-      EXPECT_EQ(got.cycles, ref.cycles);
-    }
-  }
-}
-
-// sim.batch_event.live_lanes counts chunk-carrying lanes, so its delta is
-// the chunk count whatever the lane width: 6 chunks (one sparse batch)
-// and 175 chunks (three u64 batches, one AVX2/AVX-512 batch).
-TEST(SimBackendEquivalence, LiveLanesCountEveryChunkOnEveryBackend) {
+// sim.batch_event.live_lanes counts sample-carrying lanes, so its delta is
+// the sample count whatever the lane width: 24 samples (one sparse batch)
+// and 700 (eleven u64 batches, three AVX2 batches, two AVX-512 batches).
+TEST(SimBackendEquivalence, LiveLanesCountEverySampleOnEveryBackend) {
   const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
@@ -464,22 +427,20 @@ TEST(SimBackendEquivalence, LiveLanesCountEveryChunkOnEveryBackend) {
     for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
       SCOPED_TRACE(n);
       ActivityOptions opts;
-      opts.backend = b;  // auto chunking: 4 samples per chunk here
+      opts.backend = b;
       const obs::MetricsSnapshot before = obs::snapshot_metrics();
       (void)collect_activity(circuit.module, lib,
                              circuit.cycles_per_inference, wl, n, opts);
       const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
-      EXPECT_EQ(delta.counter_value("sim.batch_event.live_lanes"),
-                (n + 3) / 4);
+      EXPECT_EQ(delta.counter_value("sim.batch_event.live_lanes"), n);
     }
   }
 }
 
 // sim.batch.live_lanes is the zero-delay engine's occupancy counter: each
-// verification batch adds its sample-carrying lanes and each activity
-// warm-up its chunk-carrying lanes.  So a verify adds the sample count and
-// an unsplit replay (pinned to one thread) the chunk count, whatever the
-// lane width.
+// verification batch and each activity warm-up adds its sample-carrying
+// lanes.  So a verify and a replay each add their sample count, whatever
+// the lane width.
 TEST(SimBackendEquivalence, ZeroDelayLiveLanesCountEverySampleAndWarmup) {
   const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
   auto circuit = arch::build_sequential_svm(q);
@@ -502,23 +463,21 @@ TEST(SimBackendEquivalence, ZeroDelayLiveLanesCountEverySampleAndWarmup) {
     for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
       SCOPED_TRACE(n);
       ActivityOptions opts;
-      opts.backend = b;  // auto chunking: 4 samples per chunk here
+      opts.backend = b;
       opts.num_threads = 1;
       before = obs::snapshot_metrics();
       (void)collect_activity(circuit.module, lib,
                              circuit.cycles_per_inference, wl, n, opts);
       const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
-      EXPECT_EQ(delta.counter_value("sim.batch.live_lanes"), (n + 3) / 4);
-      EXPECT_EQ(delta.counter_value("sim.batch_event.segments"),
-                delta.counter_value("sim.batch_event.batches"));
+      EXPECT_EQ(delta.counter_value("sim.batch.live_lanes"), n);
     }
   }
 }
 
 // The determinism contract at the report level: a whole evaluate_circuit
 // report does not depend on the backend (auto-dispatched or pinned) or on
-// the thread count.  24 power samples replay as 6 chunks (auto picks u64),
-// 1500 as 375 chunks (auto picks the widest backend).
+// the thread count.  24 power samples replay in one batch (auto picks
+// u64), 1500 in several (auto picks the widest backend).
 TEST(SimBackendEquivalence, EvaluateReportIgnoresBackendAndThreads) {
   ScopedBackendEnv no_override(nullptr);
   const auto lib = cells::CellLibrary::egfet();

@@ -4,7 +4,7 @@
 // functional outputs — on every generated architecture (sequential SVM,
 // parallel SVM, MLP) and on random netlists; ragged (<64 lane) batches,
 // back-to-back inference without reset, count masking, and the sharded
-// core::collect_activity driver against the scalar per-chunk reference.
+// core::collect_activity driver against the scalar per-sample reference.
 
 #include <gtest/gtest.h>
 
@@ -549,37 +549,36 @@ namespace {
 
 using quant::QuantizedSvm;
 
-/// The scalar reference protocol collect_activity must reproduce exactly:
-/// independent contiguous chunks, each warmed up on its first sample
-/// (counters discarded) and then replayed in order on a fresh scalar
-/// EventSimulator.
+/// The scalar reference protocol collect_activity must reproduce exactly,
+/// one sample at a time: reset a scalar EventSimulator, run sample
+/// (s - 1) mod n uncounted, then count sample s; sum over s.
 sim::ActivityStats scalar_reference(const netlist::Module& m,
                                     const cells::CellLibrary& lib,
                                     int cycles_per_inference,
                                     const CircuitWorkload& wl, std::size_t n,
-                                    std::size_t chunk, double quantum) {
+                                    double quantum) {
   const auto lv = sim::levelize_shared(m);
   const bool sequential = !lv->dffs.empty();
   const auto ports = feature_ports(m, wl.feature_codes[0].size());
   sim::ActivityStats sum;
   sum.net_toggles.assign(m.num_nets(), 0);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t len = std::min(chunk, n - begin);
-    sim::EventSimulator es(m, lib, quantum, lv);
-    const auto apply = [&](std::size_t s) {
-      for (std::size_t j = 0; j < ports.size(); ++j) {
-        es.set_port(*ports[j],
-                    static_cast<std::uint64_t>(wl.feature_codes[s][j]));
-      }
-      if (sequential) {
-        for (int c = 0; c < cycles_per_inference; ++c) es.step();
-      } else {
-        es.settle();
-      }
-    };
-    apply(begin);
+  sum.net_functional.assign(m.num_nets(), 0);
+  sim::EventSimulator es(m, lib, quantum, lv);
+  const auto apply = [&](std::size_t s) {
+    for (std::size_t j = 0; j < ports.size(); ++j) {
+      es.set_port(*ports[j], static_cast<std::uint64_t>(wl.feature_codes[s][j]));
+    }
+    if (sequential) {
+      for (int c = 0; c < cycles_per_inference; ++c) es.step();
+    } else {
+      es.settle();
+    }
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    es.reset();
+    apply((s + n - 1) % n);
     es.clear_activity();
-    for (std::size_t s = begin; s < begin + len; ++s) apply(s);
+    apply(s);
     sum.accumulate(es.activity());
   }
   return sum;
@@ -619,21 +618,21 @@ void expect_stats_equal(const sim::ActivityStats& a,
   EXPECT_EQ(a.cycles, b.cycles);
 }
 
-TEST(CollectActivity, MatchesScalarReferenceSequentialRaggedChunk) {
+TEST(CollectActivity, MatchesScalarReferenceSequential) {
   const auto lib = cells::CellLibrary::egfet();
   const auto q = small_model();
   const auto circuit = arch::build_sequential_svm(q);
   const auto wl = exhaustive_workload(q, 2);  // 128 samples
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 12;  // 10 full chunks + ragged 8-sample final chunk
-  // n = 115 also clips the workload (n < workload size).
+  // n = 115 clips the workload (n < workload size) and leaves a ragged
+  // second u64 batch of 51 lanes.
   const auto batch = collect_activity(circuit.module, lib,
                                       circuit.cycles_per_inference, wl, 115,
                                       opts);
   const auto ref =
       scalar_reference(circuit.module, lib, circuit.cycles_per_inference, wl,
-                       115, 12, kTimeQuantumMs);
+                       115, kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
@@ -644,10 +643,9 @@ TEST(CollectActivity, MatchesScalarReferenceCombinational) {
   const auto wl = exhaustive_workload(q, 2);
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 16;
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 120, opts);
-  const auto ref = scalar_reference(circuit.module, lib, 1, wl, 120, 16,
-                                    kTimeQuantumMs);
+  const auto ref =
+      scalar_reference(circuit.module, lib, 1, wl, 120, kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
@@ -660,10 +658,9 @@ TEST(CollectActivity, MatchesScalarReferenceMlp) {
       sim::random_samples(100, 3, q.input_format.max_code(), 901);
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 8;  // 12 full chunks + ragged 4-sample final chunk
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 100, opts);
-  const auto ref = scalar_reference(circuit.module, lib, 1, wl, 100, 8,
-                                    kTimeQuantumMs);
+  const auto ref =
+      scalar_reference(circuit.module, lib, 1, wl, 100, kTimeQuantumMs);
   expect_stats_equal(batch, ref);
 }
 
@@ -674,7 +671,7 @@ TEST(CollectActivity, ThreadCountDoesNotChangeTheCounts) {
   const auto wl = exhaustive_workload(q, 3);  // 192 samples
   ActivityOptions single;
   single.num_threads = 1;
-  single.chunk_samples = 1;  // 192 chunks => 3 batches
+  single.backend = sim::Backend::kU64;  // 192 samples => 3 batches
   ActivityOptions multi = single;
   multi.num_threads = 4;
   const auto a = collect_activity(circuit.module, lib,
