@@ -1,36 +1,27 @@
 // Glitch-counting (power-replay) throughput benchmark: scalar
 // delay-accurate EventSimulator vs the 64-way bit-parallel
-// BatchEventSimulator (core::collect_activity) on a sequential-SVM
-// workload, plus thread-scaling of the sharded driver.
+// BatchEventSimulator (core::collect_activity, which runs on u64 lanes
+// only) on a sequential-SVM workload, plus thread-scaling of the sharded
+// driver.
 //
 // Emits a machine-readable JSON object on stdout (same shape as
 // bench_batch_sim) so scripts/check_perf.py can gate CI on regressions;
 // the human-readable summary goes to stderr.
-//
-// A SIMD comparison section times every compiled+supported wide lane-word
-// backend (AVX2, AVX-512) against the u64 reference (one lane per sample,
-// so the quick workload's 2130 samples fill four AVX-512 words and part of
-// a fifth) and emits simd.<name>_vs_u64 ratios — gated in CI as
-// OPTIONAL-IF-UNSUPPORTED.
 //
 // An info line (and the record's list_arena object, not gated) reports
 // the waveform engine's transition-list arena high-water on one full u64
 // batch of the workload.
 //
 // Usage: bench_batch_event [--quick] [--trace out.json] [--metrics]
-//                          [--backend u64|avx2|avx512|auto]
 
 #include <cstdint>
 #include <iostream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/activity.hpp"
 #include "pml/core/flow.hpp"
-#include "pml/sim/backend.hpp"
 #include "pml/sim/batch_event_sim.hpp"
 #include "pml/ml/multiclass.hpp"
 #include "pml/quant/svm_quant.hpp"
@@ -128,7 +119,6 @@ int main(int argc, char** argv) {
   // --- batch event, single thread --------------------------------------------
   core::ActivityOptions aopts;
   aopts.num_threads = 1;
-  aopts.backend = sim::parse_backend(args.backend);
   aopts.levelization = sim::levelize_shared(circuit.module);
   sw.restart();
   const sim::ActivityStats batch_stats = core::collect_activity(
@@ -162,39 +152,6 @@ int main(int argc, char** argv) {
                       ? ""
                       : "  [COUNTS DIVERGED!]")
               << "\n";
-  }
-
-  // --- SIMD backend comparison -----------------------------------------------
-  // One lane per sample fills every wide word but a ragged last one, and
-  // the u64 reference is re-timed on the same thread so the ratio
-  // isolates the lane width.  Merged counts must stay bit-identical
-  // throughout.
-  const auto time_backend = [&](sim::Backend b) {
-    core::ActivityOptions sopts = aopts;
-    sopts.num_threads = 1;
-    sopts.backend = b;
-    benchutil::Stopwatch ssw;
-    const sim::ActivityStats r = core::collect_activity(
-        circuit.module, lib, circuit.cycles_per_inference, wl, n, sopts);
-    return std::pair<double, std::uint64_t>(
-        static_cast<double>(n) / ssw.seconds(), total_toggles(r));
-  };
-  const auto [simd_u64_sps, simd_u64_toggles] =
-      time_backend(sim::Backend::kU64);
-  obs::Json simd = obs::Json::object();
-  bool simd_ok = true;
-  for (const sim::Backend b : sim::available_backends()) {
-    if (b == sim::Backend::kU64) continue;
-    const auto [sps, toggles] = time_backend(b);
-    simd_ok &= toggles == simd_u64_toggles;
-    const std::string name = sim::backend_name(b);
-    std::cerr << "  " << name << " (1 thr): " << static_cast<long>(sps)
-              << " samples/s  -> " << sps / simd_u64_sps << "x vs u64 ("
-              << sim::backend_lanes(b) << " lanes)"
-              << (toggles == simd_u64_toggles ? "" : "  [COUNTS DIVERGED!]")
-              << "\n";
-    simd.set(name + "_samples_per_sec", sps);
-    simd.set(name + "_vs_u64", sps / simd_u64_sps);
   }
 
   // --- list memory ----------------------------------------------------------
@@ -247,7 +204,6 @@ int main(int argc, char** argv) {
                     .set("speedup_vs_scalar", p.sps / scalar_sps));
   }
   rec.set("thread_scaling", std::move(points));
-  rec.set("simd", std::move(simd));
   rec.set("list_arena", obs::Json::object()
                             .set("entries", probe.arena_high_water())
                             .set("live_entries", probe.live_high_water())
@@ -256,9 +212,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   session.finish();
 
-  if (total_toggles(batch_stats) == 0 || !simd_ok) {
-    std::cerr << "bench_batch_event: no activity counted or SIMD counts "
-                 "diverged — failing\n";
+  if (total_toggles(batch_stats) == 0) {
+    std::cerr << "bench_batch_event: no activity counted — failing\n";
     return 1;
   }
   return speedup >= 10.0 ? 0 : 2;

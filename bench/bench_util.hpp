@@ -68,7 +68,8 @@ inline PreparedData prepare(ml::UciProfile profile,
 ///   --trace <file>   write a Chrome trace-event JSON of the run
 ///   --metrics        print the metrics-registry delta to stderr at exit
 ///   --backend <b>    lane-word SIMD backend (u64|avx2|avx512|auto) for
-///                    the gated batch legs.  Defaults to "u64" — the
+///                    the gated batch legs of bench_batch_sim and
+///                    bench_fault_injection.  Defaults to "u64" — the
 ///                    reference backend — so the baseline-gated
 ///                    batch.speedup_vs_scalar numbers stay comparable
 ///                    across machines; the SIMD comparison legs always

@@ -12,11 +12,15 @@
 // How the batch replay gets there:
 //
 //  - One lane per sample.  Batch b holds the consecutive samples
-//    [b * kLanes, min(n, (b + 1) * kLanes)) of one bit-parallel
-//    sim::BatchEventSimulator (kLanes = 64 on the u64 reference backend,
-//    wider under AVX).  Batches run on util::TaskPool workers, claimed
-//    one at a time; each worker slot owns its engines and all share one
-//    Levelization (the same pattern as core::verify_workload).
+//    [b * 64, min(n, (b + 1) * 64)) of one 64-lane bit-parallel
+//    sim::BatchEventSimulator.  Batches run on util::TaskPool workers,
+//    claimed one at a time; each worker slot owns its engines and all
+//    share one Levelization (the same pattern as core::verify_workload).
+//    The replay always runs on u64 lane words: every production replay
+//    holds at most a few hundred samples, which a handful of u64 batches
+//    spread over the workers cover, where one mostly idle wide word would
+//    run them on one worker with larger list entries.  No sim::Backend
+//    choice (option or PML_SIM_BACKEND) reaches it.
 //  - Zero-delay warm-up.  Lane l, carrying sample s, first warms up from
 //    reset on sample (s - 1) mod n, uncounted, on the worker's zero-delay
 //    sim::BatchSimulator, and the event engine adopts its settled lane
@@ -29,8 +33,8 @@
 //    Levelization::wave_order, merging each cell's input transition lists
 //    into its output's list, and counts toggles as entries are appended
 //    (see sim/batch_event_sim.hpp).  Its list arena is the replay's main
-//    memory cost per worker slot: about 12 bytes per live entry on u64,
-//    30-140 k entries on the Table I baselines.
+//    memory cost per worker slot: 12 bytes per live entry, 30-140 k
+//    entries on the Table I baselines.
 //  - Exactness check.  A warm-up reproduces the back-to-back state only
 //    if a lane's state at an inference boundary depends on the last input
 //    alone — true of every generated design, not of every netlist.  So
@@ -40,7 +44,7 @@
 //    replay re-runs the protocol above on one lane of one engine.
 //
 // The counts are therefore those of the back-to-back replay on every
-// netlist, and do not depend on the thread count or the backend.
+// netlist, and do not depend on the thread count.
 
 #include <cstddef>
 #include <memory>
@@ -76,11 +80,6 @@ struct ActivityOptions {
   /// Optional cooperative cancellation, checked between batches
   /// (throws util::Cancelled).  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
-  /// SWAR lane-word backend (kAuto = u64 when every sample fits its 64
-  /// lanes, else the widest available; see sim::resolve_backend).
-  /// Bit-exact against u64 by construction, so the merged ActivityStats
-  /// never depend on it.
-  sim::Backend backend = sim::Backend::kAuto;
 };
 
 /// Replay the first `num_samples` workload samples (clamped to the

@@ -4,16 +4,17 @@
 //
 // One EvalContext owns every piece of reusable storage an evaluation
 // needs — the shared Levelization and its arena-backed working arrays,
-// per worker slot one pooled zero-delay and one event engine per SIMD
-// backend, the power replay's lane states, the optimizer's module copy,
-// and the timing/activity/power result records.  evaluate_circuit_into
-// threads it through verify_workload and collect_activity (via
-// VerifyOptions::context / ActivityOptions::context; a call without one
-// runs on a call-local context, built per call), so after the first
-// evaluation warms the capacities up, steady-state evaluations of
-// same-shaped modules perform ZERO heap allocation on the calling thread
-// (proven by the allocation-hook test in tests/test_eval_alloc.cpp and
-// surfaced as the obs counters `eval.allocs` / `eval.pool_reuse`).
+// per worker slot one pooled zero-delay engine per SIMD backend and the
+// power replay's u64 event engine, the replay's lane states, the
+// optimizer's module copy, and the timing/activity/power result records.
+// evaluate_circuit_into threads it through verify_workload and
+// collect_activity (via VerifyOptions::context / ActivityOptions::context;
+// a call without one runs on a call-local context, built per call), so
+// after the first evaluation warms the capacities up, steady-state
+// evaluations of same-shaped modules perform ZERO heap allocation on the
+// calling thread (proven by the allocation-hook test in
+// tests/test_eval_alloc.cpp and surfaced as the obs counters
+// `eval.allocs` / `eval.pool_reuse`).
 //
 // The zero-allocation contract holds for the single-threaded
 // configuration (verify.num_threads = 1, power_threads = 1) with
@@ -42,6 +43,7 @@
 #include "pml/netlist/module.hpp"
 #include "pml/power/power.hpp"
 #include "pml/sim/backend.hpp"
+#include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/event_sim.hpp"
 #include "pml/sim/levelize.hpp"
 #include "pml/sta/timing.hpp"
@@ -51,10 +53,10 @@ namespace pml::core {
 
 class EvalContext {
  public:
-  /// One pooled engine per concrete sim::Backend, indexed by the enum
-  /// value (slot 0, kAuto, stays empty).  Type-erased because only the
-  /// per-flag backend TUs may name the wide engine types; the backend
-  /// loops create each engine on first use and never evict it
+  /// One pooled zero-delay engine per concrete sim::Backend, indexed by
+  /// the enum value (slot 0, kAuto, stays empty).  Type-erased because
+  /// only the per-flag backend TUs may name the wide engine types; each
+  /// engine is created on first use and never evicted
   /// (src/core/src/backends/batch_loops.hpp).
   using EngineSlots =
       std::array<std::shared_ptr<void>,
@@ -63,8 +65,11 @@ class EvalContext {
   /// pool never moves (or copies) a simulator that an earlier evaluation
   /// warmed up.
   struct WorkerScratch {
-    EngineSlots batch;  ///< verification, replay warm-ups (BatchSimulatorT)
-    EngineSlots event;  ///< power replay and its counts (BatchEventSimulatorT)
+    /// Verification on any backend, and the replay's u64 warm-ups
+    /// (BatchSimulatorT).
+    EngineSlots batch;
+    /// The power replay and its counts (always u64).
+    sim::BatchEventSimulator event;
   };
 
   EvalContext() = default;

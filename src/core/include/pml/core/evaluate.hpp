@@ -67,11 +67,10 @@ struct EvaluateOptions {
   /// in.  Pre/post ModuleStats and the chosen recipe land in the
   /// HardwareReport.
   opt::OptOptions optimize;
-  /// SIMD lane-word backend for the verify and activity phases (and the
-  /// cost-model probe replays).  kAuto picks the widest backend the CPU
-  /// supports, except that an activity replay whose samples fit 64 lanes
-  /// runs on u64; results are bit-identical across backends — only
-  /// throughput changes.
+  /// SIMD lane-word backend of the verify phase.  kAuto picks the widest
+  /// backend the CPU supports; results are bit-identical across backends
+  /// — only throughput changes.  The activity replay and the optimizer's
+  /// cost-model probes always run on u64 lanes.
   sim::Backend backend = sim::Backend::kAuto;
   /// Optional cooperative cancellation: checked at every phase boundary
   /// (optimize -> levelize -> verify -> sta -> activity -> power) and

@@ -33,9 +33,9 @@ struct Table1Options {
   /// "balanced", "none", "best"); empty keeps the default.  The baselines
   /// always use their published (area-driven) flow.
   std::string flow;
-  /// SIMD lane-word backend for every evaluation in the table (ours and
-  /// baselines).  Results are backend-invariant; benches pin this to
-  /// compare throughput.
+  /// SIMD lane-word backend of every evaluation's verify phase in the
+  /// table (ours and baselines; see EvaluateOptions::backend).  Results
+  /// are backend-invariant; benches pin this to compare throughput.
   sim::Backend backend = sim::Backend::kAuto;
 };
 

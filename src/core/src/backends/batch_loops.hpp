@@ -1,5 +1,6 @@
 #pragma once
-// The width-generic worker loops behind the Kernels table (kernels.hpp).
+// The width-generic worker loops behind the Kernels table (kernels.hpp),
+// and the helpers they share with the u64 power replay (activity.cpp).
 //
 // Each backend TU instantiates these templates on its LaneWord, with every
 // literal 64 replaced by the backend's lane width.  The drivers have
@@ -7,22 +8,16 @@
 // validated job.  One step serves every loop that drives a batch of
 // samples: run_inference drives lane l with row sample_of(l), then clocks
 // cycles_per_inference times or settles; the fault loop alone broadcasts
-// one row to all lanes.  Verify and activity run on the job's EvalContext
-// worker slots (the caller's context or the driver's call-local one);
-// the fault and probe loops own their engines.  Keeping these templates
-// here, included ONLY from the per-backend TUs, means the vector
-// instantiations are compiled exactly once each, under the right -m
-// flags.
+// one row to all lanes.  Verify runs on the job's EvalContext worker
+// slots (the caller's context or the driver's call-local one); the fault
+// and probe loops own their engines.  Keeping these templates here,
+// included only from the per-backend TUs and activity.cpp (which uses
+// them on u64 alone), means the vector instantiations are compiled
+// exactly once each, under the right -m flags.
 //
 // Width-invariance (why every backend returns identical results):
 //  - verify: each lane's sample is simulated independently; lane packing
 //    only changes which word a sample rides in, never its value stream.
-//  - activity: each lane replays one sample, warmed up on the sample
-//    before it, so a lane's counts do not depend on which batch or word
-//    carries it.  The replay then checks that every warm-up reproduced
-//    its predecessor's end state and otherwise replays back to back on
-//    one lane; either way the counters are those of the back-to-back
-//    replay.
 //  - fault: every batch starts from power-on reset and variants are
 //    lane-independent, so per-variant counts do not depend on packing
 //    (63 vs 255 vs 511 variants per pass).
@@ -39,7 +34,6 @@
 #include "kernels.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/obs/trace.hpp"
-#include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/lanes.hpp"
 #include "pml/util/task_pool.hpp"
@@ -58,25 +52,17 @@ inline constexpr sim::Backend kBackendOf<sim::LaneAvx512> =
     sim::Backend::kAvx512;
 #endif
 
-/// A worker slot's pooled engine for backend L, created on first use and
-/// never evicted.  Every (engine, backend) pair has its own slot, so an
-/// evaluation that verifies on one backend and replays activity on
-/// another keeps both warm.
-template <class Engine, class L>
-[[nodiscard]] inline Engine& pooled(EvalContext::EngineSlots& slots) {
-  std::shared_ptr<void>& slot = slots[static_cast<std::size_t>(kBackendOf<L>)];
-  if (slot == nullptr) slot = std::make_shared<Engine>();
-  return *static_cast<Engine*>(slot.get());
-}
+/// A worker slot's pooled zero-delay engine for backend L, created on
+/// first use and never evicted.  Every backend has its own slot, so an
+/// evaluation that verifies on a wide backend and warms the power replay
+/// up on u64 keeps both warm.
 template <class L>
 [[nodiscard]] inline sim::BatchSimulatorT<L>& pooled_batch(
     EvalContext::WorkerScratch& ws) {
-  return pooled<sim::BatchSimulatorT<L>, L>(ws.batch);
-}
-template <class L>
-[[nodiscard]] inline sim::BatchEventSimulatorT<L>& pooled_event(
-    EvalContext::WorkerScratch& ws) {
-  return pooled<sim::BatchEventSimulatorT<L>, L>(ws.event);
+  std::shared_ptr<void>& slot =
+      ws.batch[static_cast<std::size_t>(kBackendOf<L>)];
+  if (slot == nullptr) slot = std::make_shared<sim::BatchSimulatorT<L>>();
+  return *static_cast<sim::BatchSimulatorT<L>*>(slot.get());
 }
 
 [[nodiscard]] inline std::size_t clamp_threads(std::size_t requested,
@@ -169,137 +155,6 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
   util::TaskPool::instance().run_group(num_threads, "verify.worker", worker);
 
   result.mismatches = mismatch_count.load();
-}
-
-// --- activity ---------------------------------------------------------------
-
-/// Warm lanes [0, lanes) up from reset on the zero-delay engine, lane l on
-/// the sample before first + l (cyclically, so sample 0 warms up on the
-/// last one), and hand the settled state to the event engine with lanes
-/// [0, lanes) counted.  The warm-up adds nothing to the event engine's
-/// counters.
-template <class L>
-void warm_up(sim::BatchSimulatorT<L>& zsim, sim::BatchEventSimulatorT<L>& esim,
-             const ActivityJob& job, std::size_t first, std::size_t lanes) {
-  const std::size_t n = job.num_samples;
-  zsim.reset();
-  run_inference(zsim, job, lanes,
-                [&](std::size_t l) { return (first + l + n - 1) % n; });
-  esim.import_state(zsim);
-  std::uint64_t mask[L::kChunks];
-  sim::prefix_lane_mask(lanes, mask, L::kChunks);
-  esim.set_count_mask_chunks(mask);
-}
-
-/// The replay's exactness check for one batch of `count` lanes: in every
-/// state element (kChunks words), lane l of `warm` must equal lane l - 1
-/// of `end` for l in [1, count), and lane 0 must equal lane `prev_last` of
-/// `prev_end`, the end state of the sample before the batch's first.
-template <std::size_t kChunks>
-[[nodiscard]] bool lanes_chain(const std::uint64_t* warm,
-                               const std::uint64_t* end, std::size_t count,
-                               const std::uint64_t* prev_end,
-                               std::size_t prev_last, std::size_t words) {
-  std::uint64_t live[kChunks];
-  sim::prefix_lane_mask(count, live, kChunks);
-  for (std::size_t w = 0; w < words; w += kChunks) {
-    // Shift `end` up one lane across the chunks; the predecessor's last
-    // lane shifts into lane 0.
-    std::uint64_t carry = sim::extract_lane(prev_end + w, prev_last) ? 1 : 0;
-    std::uint64_t diff = 0;
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      diff |= (warm[w + c] ^ (end[w + c] << 1 | carry)) & live[c];
-      carry = end[w + c] >> 63;
-    }
-    if (diff != 0) return false;
-  }
-  return true;
-}
-
-template <class L>
-void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
-  constexpr std::size_t kLanes = L::kWidth;
-  const std::size_t n = job.num_samples;
-  const std::size_t num_batches = (n + kLanes - 1) / kLanes;
-  const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
-  const auto lanes_of = [&](std::size_t b) {
-    return std::min(kLanes, n - b * kLanes);
-  };
-
-  // Batch b's warmed state, then its end state.  Each batch writes its
-  // own slots, so workers need no locking.
-  const std::size_t words =
-      sim::BatchEventSimulatorT<L>::state_words(*job.module, *job.lv);
-  std::vector<std::uint64_t>& states = job.context->replay_states;
-  states.resize(2 * num_batches * words);
-  const auto state = [&](std::size_t b, bool end) {
-    return states.data() + (2 * b + end) * words;
-  };
-
-  // Each worker's event engine accumulates the counts of the batches it
-  // claims; they are summed after the join.  Addition of integer counts
-  // is commutative, so the total is independent of which worker claims
-  // which batch.
-  job.context->ensure_workers(num_threads);
-  std::atomic<std::size_t> next_batch{0};
-  auto worker = [&](std::size_t slot) {
-    PML_OBS_SPAN("activity.worker");
-    // Rebind this slot's warmed engines (zero allocation for
-    // same-shaped modules; clears the event engine's counters).
-    EvalContext::WorkerScratch& ws = job.context->worker(slot);
-    sim::BatchSimulatorT<L>& zsim = pooled_batch<L>(ws);
-    sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(ws);
-    if (esim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
-    zsim.rebind(*job.module, job.lv);
-    esim.rebind(*job.module, *job.lib, kTimeQuantumMs, job.lv);
-    for (;;) {
-      // Cancellation checkpoint between batches (see verify loop).
-      if (job.cancel != nullptr) job.cancel->check("activity.batch");
-      const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= num_batches) return;
-      const std::size_t begin = b * kLanes;
-      const std::size_t count = lanes_of(b);
-      // Occupancy: sample-carrying lanes, against the lane words each
-      // engine evaluates.  Each sums to the sample count on every backend.
-      PML_OBS_COUNT("sim.batch_event.batches", 1);
-      PML_OBS_COUNT("sim.batch_event.live_lanes", count);
-      PML_OBS_COUNT("sim.batch.live_lanes", count);
-      warm_up<L>(zsim, esim, job, begin, count);
-      zsim.export_state(state(b, false));
-      run_inference(esim, job, count,
-                    [begin](std::size_t l) { return begin + l; });
-      esim.export_state(state(b, true));
-    }
-  };
-  util::TaskPool::instance().run_group(num_threads, "activity.worker", worker);
-
-  bool chained = true;
-  for (std::size_t b = 0; b < num_batches && chained; ++b) {
-    const std::size_t prev = (b + num_batches - 1) % num_batches;
-    chained = lanes_chain<L::kChunks>(state(b, false), state(b, true),
-                                      lanes_of(b), state(prev, true),
-                                      lanes_of(prev) - 1, words);
-  }
-  if (chained) {
-    out = pooled_event<L>(job.context->worker(0)).activity();
-    for (std::size_t t = 1; t < num_threads; ++t) {
-      out.accumulate(pooled_event<L>(job.context->worker(t)).activity());
-    }
-    return;
-  }
-  // Some lane's state depends on more than its last input, so a warm-up
-  // did not reproduce the state its predecessor left.  Replay the samples
-  // back to back on one lane of slot 0's engines (bound above), after the
-  // same warm-up on sample n - 1.
-  PML_OBS_COUNT("sim.batch_event.seam_fallbacks", 1);
-  sim::BatchEventSimulatorT<L>& esim = pooled_event<L>(job.context->worker(0));
-  warm_up<L>(pooled_batch<L>(job.context->worker(0)), esim, job, 0, 1);
-  esim.clear_activity();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (job.cancel != nullptr) job.cancel->check("activity.batch");
-    run_inference(esim, job, 1, [s](std::size_t) { return s; });
-  }
-  out = esim.activity();
 }
 
 // --- fault campaign ---------------------------------------------------------
@@ -417,7 +272,6 @@ template <class L>
 [[nodiscard]] constexpr Kernels make_kernels() {
   Kernels k;
   k.verify = &run_verify_loop<L>;
-  k.activity = &run_activity_loop<L>;
   k.fault = &run_fault_loop<L>;
   k.probe = &run_probe_loop<L>;
   return k;

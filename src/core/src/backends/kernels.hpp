@@ -5,9 +5,10 @@
 // run_fault_campaign, probe_batch_backend) runs one width-agnostic
 // preamble, prepare_job: it validates the feature rows, resolves the
 // feature ports and the levelization, and fills the shared JobBase.  The
-// driver adds its own checks and fields, then calls through this table.
-// Each backend TU (backend_u64.cpp always; backend_avx2.cpp /
-// backend_avx512.cpp compiled with the matching -m flags) instantiates
+// power replay (collect_activity_into) then runs on u64 lanes directly;
+// the other drivers add their own checks and fields and call through
+// this table.  Each backend TU (backend_u64.cpp always; backend_avx2.cpp
+// / backend_avx512.cpp compiled with the matching -m flags) instantiates
 // the shared templated worker loops from batch_loops.hpp on its LaneWord
 // and exposes them as plain function pointers — so no TU without the
 // right -m flag ever names a vector type, and the compiler is free to use
@@ -18,8 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "pml/cells/library.hpp"
-#include "pml/core/activity.hpp"
 #include "pml/core/backend_probe.hpp"
 #include "pml/core/eval_context.hpp"
 #include "pml/core/fault_campaign.hpp"
@@ -49,19 +48,12 @@ struct JobBase {
   const util::CancellationToken* cancel = nullptr;
 };
 
-/// The verify and activity kernels run on `context`'s worker slots,
-/// which the driver always supplies (the caller's or a call-local one).
+/// The verify kernel runs on `context`'s worker slots, which the driver
+/// always supplies (the caller's or a call-local one).
 struct VerifyJob : JobBase {
   const std::vector<int>* expected_class = nullptr;
   const netlist::Port* class_port = nullptr;
   std::size_t max_mismatches = 0;
-  EvalContext* context = nullptr;
-};
-
-struct ActivityJob : JobBase {
-  const cells::CellLibrary* lib = nullptr;
-  /// Replayed samples: one lane each.
-  std::size_t num_samples = 0;
   EvalContext* context = nullptr;
 };
 
@@ -95,7 +87,6 @@ void prepare_job(JobBase& job, const char* who, const netlist::Module& module,
 /// One backend's kernel table.
 struct Kernels {
   void (*verify)(const VerifyJob&, VerifyResult&) = nullptr;
-  void (*activity)(const ActivityJob&, sim::ActivityStats&) = nullptr;
   void (*fault)(const FaultJob&, FaultCampaignResult&) = nullptr;
   void (*probe)(const ProbeJob&, BatchProbeResult&) = nullptr;
 };

@@ -220,7 +220,6 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
   aopts.levelization = lv;
   aopts.context = &ctx;
   aopts.cancel = options.cancel;
-  aopts.backend = options.backend;
   phase_gate("evaluate.activity");
   {
     PML_OBS_SPAN("evaluate.activity");

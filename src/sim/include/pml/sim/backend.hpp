@@ -1,19 +1,18 @@
 #pragma once
 // Runtime selection of the SWAR lane-word backend.
 //
-// The batch simulators are templated on a LaneWord trait
+// The zero-delay batch simulators are templated on a LaneWord trait
 // (sim/lanes.hpp); the wide instantiations live in translation units
 // compiled with -mavx2 / -mavx512f (src/core/src/backends/).  This header
 // is the runtime face of that split: a Backend enum threaded through
-// core::EvaluateOptions / VerifyOptions / ActivityOptions /
-// FaultCampaignOptions (and the benches' --backend flag), plus the
-// resolution logic that turns kAuto into a concrete backend that is both
-// compiled in (PML_SIM_HAVE_AVX2 / PML_SIM_HAVE_AVX512, set by CMake) and
-// supported by the CPU we are running on (CPUID).  By default kAuto is
-// the widest such backend; activity replay passes its lane-stream count
-// and gets u64 when that count fits 64 lanes (a wide word with a handful
-// of live lanes does the same work at higher cost per word and carries
-// larger engine state), the widest otherwise.
+// core::EvaluateOptions / VerifyOptions / FaultCampaignOptions (and the
+// --backend flag of bench_batch_sim and bench_fault_injection), plus the
+// resolution logic that turns kAuto into the widest concrete backend that
+// is both compiled in (PML_SIM_HAVE_AVX2 / PML_SIM_HAVE_AVX512, set by
+// CMake) and supported by the CPU we are running on (CPUID).  Verify,
+// fault campaigns and probe_batch_backend dispatch through it; the power
+// replay (core::collect_activity) always runs on u64 lanes spread over
+// the pool's workers, so no backend choice reaches it.
 //
 // Every backend is proven bit-exact lane-for-lane against the u64
 // reference (tests/test_sim_backend.cpp), so the choice can never change
@@ -22,15 +21,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace pml::sim {
 
 enum class Backend : std::uint8_t {
-  kAuto = 0,  ///< widest compiled+supported backend, or u64 when the
-              ///< work's known lane count fits 64 lanes
+  kAuto = 0,  ///< widest compiled+supported backend
               ///< (PML_SIM_BACKEND overrides, e.g. =u64 in CI)
   kU64 = 1,   ///< 64-lane scalar SWAR — always available, the reference
   kAvx2 = 2,  ///< 256-lane __m256i
@@ -66,16 +63,12 @@ enum class Backend : std::uint8_t {
 ///   - kAuto: honor the PML_SIM_BACKEND environment variable when set
 ///     ("u64"/"avx2"/"avx512" must be available or this throws — a
 ///     misconfigured CI leg must fail loudly, not silently fall back;
-///     "auto" and empty mean no override).  Otherwise pick kU64 when the
-///     work's `needed_lanes` independent lane streams fit its 64 lanes
-///     (activity replay passes its sample count), else the widest
-///     available backend — always the widest when no count is given.
+///     "auto" and empty mean no override).  Otherwise pick the widest
+///     available backend.
 ///   - concrete: returned as-is when available, otherwise throws
 ///     std::runtime_error naming what is missing (not compiled vs not
 ///     supported by the CPU).
 /// Allocation-free, so the zero-allocation evaluation path may call it.
-[[nodiscard]] Backend resolve_backend(
-    Backend requested,
-    std::size_t needed_lanes = std::numeric_limits<std::size_t>::max());
+[[nodiscard]] Backend resolve_backend(Backend requested);
 
 }  // namespace pml::sim

@@ -1,6 +1,7 @@
 #pragma once
-// Width-generic bit-parallel (SWAR) *delay-accurate* simulator: a
-// levelized waveform engine.
+// Bit-parallel (SWAR) *delay-accurate* simulator: a levelized waveform
+// engine.  Templated on the lane word because it shares the LaneState
+// core with the zero-delay engine, but instantiated on u64 only.
 //
 // BatchEventSimulatorT<L> packs L::kWidth independent workload samples into
 // one lane word per net (bit L = lane L's logic value, stored as L::kChunks
@@ -37,10 +38,10 @@
 // computed and the value a new event meets is the previous event's: the
 // filtered list above is that net's event trajectory, glitches included,
 // per lane.  The scalar EventSimulator is the reference oracle; the
-// differential suites in tests/test_sim_batch_event.cpp (u64),
-// tests/test_sim_waveform.cpp (every backend) and tests/test_sim_backend.cpp
-// (wide backends vs u64) check it on generated sequential-SVM,
-// parallel-SVM, MLP and sequential-MLP circuits and on random netlists.
+// differential suites in tests/test_sim_batch_event.cpp,
+// tests/test_sim_waveform.cpp and tests/test_core_replay.cpp check it on
+// generated sequential-SVM, parallel-SVM, MLP and sequential-MLP
+// circuits and on random netlists.
 //
 // Several drivers.  A net with more than one source in a window (two
 // combinational drivers, or a combinational driver plus a DFF, an input
@@ -73,9 +74,7 @@
 //
 // This is the engine behind core::collect_activity (the power replay) and
 // opt::SwitchingEnergyCost (the optimizer's probes).  `BatchEventSimulator`
-// is the 64-lane scalar instantiation; AVX2 (256-lane) / AVX-512 (512-lane)
-// instantiations are created only in the per-flag TUs under
-// src/core/src/backends/.
+// is its one instantiation, on 64-lane u64 words.
 
 #include <algorithm>
 #include <cmath>
@@ -741,7 +740,7 @@ class BatchEventSimulatorT : public LaneState<BatchEventSimulatorT<L>, L> {
   ActivityStats activity_;
 };
 
-/// The 64-lane scalar instantiation: the always-built reference backend.
+/// The one instantiation: 64 lanes on u64 words.
 using BatchEventSimulator = BatchEventSimulatorT<LaneU64>;
 extern template class BatchEventSimulatorT<LaneU64>;
 

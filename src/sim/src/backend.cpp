@@ -98,7 +98,7 @@ std::size_t backend_lanes(Backend b) {
   throw std::invalid_argument("backend_lanes: kAuto is not a concrete backend");
 }
 
-Backend resolve_backend(Backend requested, std::size_t needed_lanes) {
+Backend resolve_backend(Backend requested) {
   if (requested != Backend::kAuto) {
     if (backend_available(requested)) return requested;
     throw std::runtime_error(
@@ -125,9 +125,6 @@ Backend resolve_backend(Backend requested, std::size_t needed_lanes) {
       return forced;
     }
   }
-  // Work that fits one u64 word gains nothing from a wider one: the extra
-  // lanes idle while each word costs more and carries more engine state.
-  if (needed_lanes <= backend_lanes(Backend::kU64)) return Backend::kU64;
   Backend widest = Backend::kU64;
   if (backend_available(Backend::kAvx2)) widest = Backend::kAvx2;
   if (backend_available(Backend::kAvx512)) widest = Backend::kAvx512;

@@ -1,8 +1,6 @@
 // The class lives in the header as a template on the LaneWord trait
-// (see batch_event_sim.hpp); this TU provides the always-built 64-lane
-// scalar instantiation.  The AVX2/AVX-512 instantiations are created only
-// inside src/core/src/backends/backend_avx2.cpp / backend_avx512.cpp,
-// which are compiled with the matching -m flags.
+// (see batch_event_sim.hpp); this TU provides its one instantiation, on
+// 64-lane u64 words.
 #include "pml/sim/batch_event_sim.hpp"
 
 namespace pml::sim {

@@ -1,28 +1,30 @@
 // The activity replay counts the test set replayed back to back, whatever
-// the backend, thread count or sample count.
+// the thread count or sample count.
 //
-// A replay runs one lane per sample: the lane warms up on the zero-delay
-// engine with the sample before its own, the event engine adopts that
-// state and counts the sample, and a word-for-word check that every lane
-// was warmed into its predecessor's end state guards the result, with a
-// one-lane back-to-back re-run when it fails (see pml/core/activity.hpp).
-// These differentials prove:
+// A replay runs one lane per sample on u64 lane words: the lane warms up
+// on the zero-delay engine with the sample before its own, the event
+// engine adopts that state and counts the sample, and a word-for-word
+// check that every lane was warmed into its predecessor's end state
+// guards the result, with a one-lane back-to-back re-run when it fails
+// (see pml/core/activity.hpp).  These differentials prove:
 //  - the zero-delay warm-up leaves exactly the lane state the event
 //    engine's own warm-up leaves, for every generator and for random
-//    DFF-bearing netlists, on every backend (engine level, through the
-//    public engine API; see warmup_state_check.hpp);
-//  - the merged ActivityStats are identical on every backend and kAuto,
-//    at one thread and at the pool width, for sample counts around the
-//    u64 word.  They equal the scalar per-sample protocol on the
-//    generated designs (where it equals the back-to-back replay, checked
-//    at the largest count), and the scalar back-to-back replay on the
-//    random netlists;
+//    DFF-bearing netlists (engine level, through the public engine API);
+//  - the merged ActivityStats are identical at one thread and at the pool
+//    width, for sample counts around the u64 word, in ceil(n / 64)
+//    batches.  They equal the scalar per-sample protocol on the generated
+//    designs (where it equals the back-to-back replay, checked at the
+//    largest count), and the scalar back-to-back replay on the random
+//    netlists;
 //  - a netlist whose state depends on more than the last input (a
 //    free-running toggle flop) takes the fallback exactly once per replay
-//    and still matches the scalar back-to-back replay.
+//    and still matches the scalar back-to-back replay;
+//  - PML_SIM_BACKEND does not reach the replay: under every available
+//    backend it runs the same u64 batches to the same counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -38,22 +40,26 @@
 #include "pml/netlist/module.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
+#include "pml/sim/batch_event_sim.hpp"
+#include "pml/sim/batch_sim.hpp"
 #include "pml/sim/event_sim.hpp"
+#include "backend_env_test_util.hpp"
 #include "design_test_util.hpp"
-#include "warmup_state_check.hpp"
 
 namespace pml::core {
 namespace {
 
 using netlist::Module;
-using sim::Backend;
 using testutil::random_dff_module;
 using testutil::random_mlp;
 using testutil::random_svm;
 using testutil::toggle_flop_module;
 using testutil::xorshift;
 
+using Rows = std::vector<std::vector<std::int64_t>>;
+
 constexpr std::size_t kSampleCounts[] = {1, 2, 63, 64, 65, 200};
+constexpr std::size_t kLanes = sim::BatchEventSimulator::kLanes;
 
 CircuitWorkload random_workload(std::size_t n, int features,
                                 std::uint64_t seed) {
@@ -193,10 +199,70 @@ Schedule replay(sim::ActivityStats& out, const Design& d,
           delta.counter_value("sim.batch_event.seam_fallbacks")};
 }
 
-std::vector<Backend> backends_and_auto() {
-  std::vector<Backend> out = sim::available_backends();
-  out.push_back(Backend::kAuto);
-  return out;
+/// Run one inference on `rows[first + l % count]` in every lane l.
+template <class Sim>
+void run_inference(Sim& sim, const std::vector<const netlist::Port*>& ports,
+                   const Rows& rows, std::size_t first, std::size_t count,
+                   int cycles, bool sequential) {
+  std::uint64_t lane_values[Sim::kLanes];
+  for (std::size_t j = 0; j < ports.size(); ++j) {
+    for (std::size_t lane = 0; lane < Sim::kLanes; ++lane) {
+      lane_values[lane] =
+          static_cast<std::uint64_t>(rows[first + lane % count][j]);
+    }
+    sim.set_port(*ports[j], lane_values, Sim::kLanes);
+  }
+  if (sequential) {
+    for (int c = 0; c < cycles; ++c) sim.step();
+  } else if constexpr (requires { sim.settle(); }) {
+    sim.settle();
+  } else {
+    sim.propagate();
+  }
+}
+
+/// Zero-delay vs event-engine warm-up, word for word: from reset, both
+/// engines run one inference on the first half of `rows` (lane l on row
+/// l % half), then their exported states are compared; an event engine
+/// that adopted the zero-delay state must then count the next inference,
+/// on the second half, exactly as the event engine that warmed itself
+/// up.  Returns the differing words and counters; 0 = identical.
+std::size_t warmup_state_mismatches(const Design& d, const Rows& rows) {
+  const auto lv = sim::levelize_shared(d.module);
+  const bool sequential = !lv->dffs.empty();
+  const std::vector<const netlist::Port*> ports =
+      feature_ports(d.module, rows.front().size());
+  const std::size_t half = rows.size() / 2;
+
+  sim::BatchSimulator zsim(d.module, lv);
+  sim::BatchEventSimulator warmed(d.module, library(), kTimeQuantumMs, lv);
+  sim::BatchEventSimulator adopted(d.module, library(), kTimeQuantumMs, lv);
+  run_inference(zsim, ports, rows, 0, half, d.cycles, sequential);
+  run_inference(warmed, ports, rows, 0, half, d.cycles, sequential);
+
+  std::vector<std::uint64_t> zs(zsim.state_words());
+  std::vector<std::uint64_t> es(warmed.state_words());
+  zsim.export_state(zs.data());
+  warmed.export_state(es.data());
+  std::size_t diff = zs.size() == es.size() ? 0 : 1;
+  for (std::size_t i = 0; i < std::min(zs.size(), es.size()); ++i) {
+    diff += zs[i] != es[i];
+  }
+
+  adopted.import_state(zsim);
+  warmed.clear_activity();
+  adopted.clear_activity();
+  run_inference(warmed, ports, rows, half, half, d.cycles, sequential);
+  run_inference(adopted, ports, rows, half, half, d.cycles, sequential);
+  diff += warmed.activity().net_toggles != adopted.activity().net_toggles;
+  diff += warmed.activity().net_functional !=
+          adopted.activity().net_functional;
+  diff += warmed.activity().dff_clock_events !=
+          adopted.activity().dff_clock_events;
+  warmed.export_state(es.data());
+  adopted.export_state(zs.data());
+  diff += zs != es;
+  return diff;
 }
 
 TEST(Replay, ZeroDelayWarmupMatchesEventWarmup) {
@@ -204,36 +270,11 @@ TEST(Replay, ZeroDelayWarmupMatchesEventWarmup) {
     SCOPED_TRACE(d.name);
     // 45 warm-up rows then 45 counted rows, cycled over the lanes.
     const CircuitWorkload wl = random_workload(90, d.features, 17);
-    const testutil::Rows& rows = wl.feature_codes;
-    for (const Backend b : sim::available_backends()) {
-      SCOPED_TRACE(sim::backend_name(b));
-      std::size_t mismatches = 0;
-      switch (b) {
-        case Backend::kU64:
-          mismatches = testutil::warmup_state_mismatches<sim::LaneU64>(
-              d.module, library(), d.cycles, rows);
-          break;
-#if defined(PML_SIM_HAVE_AVX2)
-        case Backend::kAvx2:
-          mismatches = testutil::warmup_state_mismatches_avx2(
-              d.module, library(), d.cycles, rows);
-          break;
-#endif
-#if defined(PML_SIM_HAVE_AVX512)
-        case Backend::kAvx512:
-          mismatches = testutil::warmup_state_mismatches_avx512(
-              d.module, library(), d.cycles, rows);
-          break;
-#endif
-        default:
-          ADD_FAILURE() << "backend without a warm-up check";
-      }
-      EXPECT_EQ(mismatches, 0u);
-    }
+    EXPECT_EQ(warmup_state_mismatches(d, wl.feature_codes), 0u);
   }
 }
 
-TEST(Replay, CountsIgnoreBackendThreadsAndBatching) {
+TEST(Replay, CountsIgnoreThreadsAndBatching) {
   for (const Design& d : designs()) {
     SCOPED_TRACE(d.name);
     const CircuitWorkload wl = random_workload(200, d.features, 23);
@@ -264,24 +305,18 @@ TEST(Replay, CountsIgnoreBackendThreadsAndBatching) {
         // the reference is the back-to-back replay the fallback runs.
         ref = scalar.back_to_back(n);
       }
-      for (const Backend b : backends_and_auto()) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-          SCOPED_TRACE(testing::Message() << sim::backend_name(b) << ", "
-                                          << threads << " threads");
-          ActivityOptions opts;
-          opts.backend = b;
-          opts.num_threads = threads;
-          sim::ActivityStats got;
-          const Schedule s = replay(got, d, wl, n, opts);
-          expect_stats_equal(got, ref);
-          const std::size_t lanes =
-              sim::backend_lanes(sim::resolve_backend(b, n));
-          EXPECT_EQ(s.batches, (n + lanes - 1) / lanes);
-          EXPECT_EQ(s.live_lanes, n);
-          EXPECT_LE(s.seam_fallbacks, 1u);
-          if (d.boundary_state) {
-            EXPECT_EQ(s.seam_fallbacks, 0u);
-          }
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        ActivityOptions opts;
+        opts.num_threads = threads;
+        sim::ActivityStats got;
+        const Schedule s = replay(got, d, wl, n, opts);
+        expect_stats_equal(got, ref);
+        EXPECT_EQ(s.batches, (n + kLanes - 1) / kLanes);
+        EXPECT_EQ(s.live_lanes, n);
+        EXPECT_LE(s.seam_fallbacks, 1u);
+        if (d.boundary_state) {
+          EXPECT_EQ(s.seam_fallbacks, 0u);
         }
       }
     }
@@ -294,22 +329,39 @@ TEST(Replay, HistoryDependentStateTakesTheFallback) {
   for (const std::size_t n : kSampleCounts) {
     SCOPED_TRACE(testing::Message() << "n " << n);
     const sim::ActivityStats ref = ScalarReplay(d, wl).back_to_back(n);
-    for (const Backend b : backends_and_auto()) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-        SCOPED_TRACE(testing::Message() << sim::backend_name(b) << ", "
-                                        << threads << " threads");
-        ActivityOptions opts;
-        opts.backend = b;
-        opts.num_threads = threads;
-        sim::ActivityStats got;
-        const Schedule s = replay(got, d, wl, n, opts);
-        // The flop toggles every clock: a lane warmed up from reset holds
-        // the opposite Q to its predecessor's end state.
-        EXPECT_EQ(s.seam_fallbacks, 1u);
-        expect_stats_equal(got, ref);
-        EXPECT_EQ(got.cycles, n);
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      ActivityOptions opts;
+      opts.num_threads = threads;
+      sim::ActivityStats got;
+      const Schedule s = replay(got, d, wl, n, opts);
+      // The flop toggles every clock: a lane warmed up from reset holds
+      // the opposite Q to its predecessor's end state.
+      EXPECT_EQ(s.seam_fallbacks, 1u);
+      EXPECT_EQ(s.batches, (n + kLanes - 1) / kLanes);
+      expect_stats_equal(got, ref);
+      EXPECT_EQ(got.cycles, n);
     }
+  }
+}
+
+TEST(Replay, IgnoresBackendEnvironment) {
+  const std::vector<Design> all = designs();
+  const Design& d = all.front();  // the sequential SVM
+  const CircuitWorkload wl = random_workload(200, d.features, 31);
+  sim::ActivityStats ref;
+  {
+    testutil::ScopedBackendEnv unset(nullptr);
+    EXPECT_EQ(replay(ref, d, wl, 200, {}).batches, 4u);
+  }
+  for (const sim::Backend b : sim::available_backends()) {
+    SCOPED_TRACE(sim::backend_name(b));
+    testutil::ScopedBackendEnv forced(sim::backend_name(b));
+    sim::ActivityStats got;
+    const Schedule s = replay(got, d, wl, 200, {});
+    EXPECT_EQ(s.batches, 4u);
+    EXPECT_EQ(s.live_lanes, 200u);
+    expect_stats_equal(got, ref);
   }
 }
 

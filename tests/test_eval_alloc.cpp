@@ -132,12 +132,11 @@ TEST(EvalAlloc, SteadyStateEvaluationIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(tiny_workload(q), zero_alloc_options()), 0u);
 }
 
-// 512 power samples replay one per lane, more than one u64 word holds, so
-// activity runs on a wide engine (where the CPU has one) beside the wide
-// verify engine.  Both must stay pooled in the same worker scratch: a
-// replay that resolved to a different wide backend than verification
-// would evict and rebuild the pair on every evaluation.
-TEST(EvalAlloc, SteadyStateWideReplayIsAllocationFree) {
+// 512 power samples replay one per lane in eight u64 batches, beside a
+// verify engine of the widest backend (where the CPU has one).  The
+// replay's u64 warm-up engine and the verify engine keep separate pooled
+// slots in the same worker scratch, so neither evicts the other.
+TEST(EvalAlloc, SteadyStateMultiBatchReplayIsAllocationFree) {
   const auto q = tiny_model();
   const CircuitWorkload grid = tiny_workload(q);
   CircuitWorkload wl;
@@ -153,14 +152,14 @@ TEST(EvalAlloc, SteadyStateWideReplayIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(wl, opts), 0u);
 }
 
-// Verify on AVX-512 and replay activity on AVX2 through one context, round
-// after round.  Each (engine, backend) pair has its own pooled slot, so
-// switching backend between the two phases never evicts a warm engine.
-TEST(EvalAlloc, AlternatingWideBackendsStayPooled) {
-  if (!sim::backend_available(sim::Backend::kAvx2) ||
-      !sim::backend_available(sim::Backend::kAvx512)) {
-    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 backend";
-  }
+// Verify on every wide backend in turn and replay activity on u64 through
+// one context, round after round.  Each backend has its own pooled
+// zero-delay slot, so switching the verify backend never evicts the
+// replay's warm engines.
+TEST(EvalAlloc, WideVerifyAndU64ReplayStayPooled) {
+  std::vector<sim::Backend> wide = sim::available_backends();
+  wide.erase(wide.begin());  // u64
+  if (wide.empty()) GTEST_SKIP() << "needs a wide SIMD backend";
   const auto q = tiny_model();
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
@@ -172,25 +171,26 @@ TEST(EvalAlloc, AlternatingWideBackendsStayPooled) {
   verify.num_threads = 1;
   verify.levelization = lv;
   verify.context = &ctx;
-  verify.backend = sim::Backend::kAvx512;
   ActivityOptions activity;
   activity.num_threads = 1;
   activity.levelization = lv;
   activity.context = &ctx;
-  activity.backend = sim::Backend::kAvx2;
   sim::ActivityStats stats;
 
   // Rounds 1 and 2 warm the pools; round 3 is measured.
   std::uint64_t allocs = 0;
   for (int round = 0; round < 3; ++round) {
     const std::uint64_t before = util::thread_alloc_count();
-    const VerifyResult result = verify_workload(
-        circuit.module, circuit.cycles_per_inference, wl, verify);
-    collect_activity_into(stats, circuit.module, lib,
-                          circuit.cycles_per_inference, wl,
-                          wl.feature_codes.size(), activity);
+    for (const sim::Backend b : wide) {
+      verify.backend = b;
+      EXPECT_TRUE(verify_workload(circuit.module,
+                                  circuit.cycles_per_inference, wl, verify)
+                      .ok());
+      collect_activity_into(stats, circuit.module, lib,
+                            circuit.cycles_per_inference, wl,
+                            wl.feature_codes.size(), activity);
+    }
     allocs = util::thread_alloc_count() - before;
-    EXPECT_TRUE(result.ok());
   }
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(stats.cycles, 0u);

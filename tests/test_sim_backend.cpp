@@ -1,17 +1,15 @@
 // SIMD backend contract: enum plumbing (names, lanes, resolution, the
-// PML_SIM_BACKEND environment override, occupancy dispatch), and — the
-// load-bearing part — bit-exact equivalence of every compiled+supported
-// lane-word backend against the u64 reference on every generated
-// architecture, through every driver (probe, verify, activity, fault
-// campaign) and through whole evaluate_circuit reports.
+// PML_SIM_BACKEND environment override), and — the load-bearing part —
+// bit-exact equivalence of every compiled+supported lane-word backend
+// against the u64 reference on every generated architecture, through
+// every dispatching driver (probe, verify, fault campaign) and through
+// whole evaluate_circuit reports, whose activity replay runs on u64
+// under every backend.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "pml/arch/mlp_circuit.hpp"
@@ -27,6 +25,7 @@
 #include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/swar.hpp"
+#include "backend_env_test_util.hpp"
 #include "report_test_util.hpp"
 
 namespace pml::core {
@@ -36,6 +35,7 @@ using quant::QuantizedClassifier;
 using quant::QuantizedMlp;
 using quant::QuantizedSvm;
 using sim::Backend;
+using testutil::ScopedBackendEnv;
 
 // --- deterministic model generators (same style as test_sim_batch) ----------
 
@@ -135,33 +135,6 @@ std::vector<Backend> wide_backends() {
   return wide;
 }
 
-/// Scoped PML_SIM_BACKEND override that restores the previous value (the
-/// CI matrix legs run this whole binary under PML_SIM_BACKEND=u64).
-class ScopedBackendEnv {
- public:
-  explicit ScopedBackendEnv(const char* value) {
-    const char* old = std::getenv("PML_SIM_BACKEND");
-    if (old != nullptr) saved_ = old;
-    if (value != nullptr) {
-      ::setenv("PML_SIM_BACKEND", value, 1);
-    } else {
-      ::unsetenv("PML_SIM_BACKEND");
-    }
-  }
-  ~ScopedBackendEnv() {
-    if (saved_.has_value()) {
-      ::setenv("PML_SIM_BACKEND", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("PML_SIM_BACKEND");
-    }
-  }
-  ScopedBackendEnv(const ScopedBackendEnv&) = delete;
-  ScopedBackendEnv& operator=(const ScopedBackendEnv&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
-
 // --- enum plumbing -----------------------------------------------------------
 
 TEST(SimBackend, NamesRoundTrip) {
@@ -235,45 +208,26 @@ TEST(SimBackend, EnvOverridesAuto) {
   }
 }
 
-// Occupancy dispatch: with a lane count, kAuto resolves to u64 when the
-// count fits its 64 lanes, else to the widest available backend.
-TEST(SimBackend, AutoWithLaneCountPicksU64WhenItHolds) {
-  ScopedBackendEnv no_override(nullptr);
-  const Backend widest = sim::available_backends().back();
-  for (const std::size_t need : {std::size_t{1}, std::size_t{64}}) {
-    SCOPED_TRACE(need);
-    EXPECT_EQ(sim::resolve_backend(Backend::kAuto, need), Backend::kU64);
-  }
-  for (const std::size_t need :
-       {std::size_t{65}, std::size_t{256}, std::size_t{257}, std::size_t{512},
-        std::size_t{1000000}}) {
-    SCOPED_TRACE(need);
-    EXPECT_EQ(sim::resolve_backend(Backend::kAuto, need), widest);
-  }
-}
-
-TEST(SimBackend, PinnedBackendsIgnoreLaneCount) {
+TEST(SimBackend, PinnedBackendsResolveToThemselves) {
   for (const Backend b : sim::available_backends()) {
     SCOPED_TRACE(sim::backend_name(b));
     {
       ScopedBackendEnv no_override(nullptr);
-      EXPECT_EQ(sim::resolve_backend(b, 1), b);
-      EXPECT_EQ(sim::resolve_backend(b, 1000000), b);
+      EXPECT_EQ(sim::resolve_backend(b), b);
     }
     {
-      // The environment override pins kAuto whatever the lane count, and
-      // an explicit request still beats the override.
+      // The environment override pins kAuto, and an explicit request
+      // still beats the override.
       ScopedBackendEnv forced(sim::backend_name(b));
-      EXPECT_EQ(sim::resolve_backend(Backend::kAuto, 1), b);
-      EXPECT_EQ(sim::resolve_backend(Backend::kAuto, 1000000), b);
-      EXPECT_EQ(sim::resolve_backend(Backend::kU64, 1000000), Backend::kU64);
+      EXPECT_EQ(sim::resolve_backend(Backend::kAuto), b);
+      EXPECT_EQ(sim::resolve_backend(Backend::kU64), Backend::kU64);
     }
   }
   for (const Backend b : {Backend::kAvx2, Backend::kAvx512}) {
     if (!sim::backend_available(b)) {
-      EXPECT_THROW((void)sim::resolve_backend(b, 1), std::runtime_error);
+      EXPECT_THROW((void)sim::resolve_backend(b), std::runtime_error);
       ScopedBackendEnv forced(sim::backend_name(b));
-      EXPECT_THROW((void)sim::resolve_backend(Backend::kAuto, 1),
+      EXPECT_THROW((void)sim::resolve_backend(Backend::kAuto),
                    std::runtime_error);
     }
   }
@@ -383,64 +337,29 @@ TEST(SimBackendEquivalence, VerifyResultMatchesU64) {
   }
 }
 
-TEST(SimBackendEquivalence, MergedActivityMatchesU64) {
-  const auto wide = wide_backends();
-  if (wide.empty()) GTEST_SKIP() << "no wide SIMD backend on this machine";
-  const QuantizedSvm q = random_svm(3, 3, 3, 4, 23);
-  auto circuit = arch::build_sequential_svm(q);
-  const auto lib = cells::CellLibrary::egfet();
-  const auto wl = svm_workload(
-      q, random_samples(180, 3, q.input_format.max_code(), 61));
-  // One lane per sample; the merged counts must be invariant to how many
-  // samples ride per batch word (180 = 2 x 64 + 52 on u64).
-  ActivityOptions ref_opts;
-  ref_opts.backend = Backend::kU64;
-  const sim::ActivityStats ref =
-      collect_activity(circuit.module, lib, circuit.cycles_per_inference, wl,
-                       wl.feature_codes.size(), ref_opts);
-  for (const Backend b : wide) {
-    ActivityOptions opts = ref_opts;
-    opts.backend = b;
-    const sim::ActivityStats got =
-        collect_activity(circuit.module, lib, circuit.cycles_per_inference,
-                         wl, wl.feature_codes.size(), opts);
-    EXPECT_EQ(got.net_toggles, ref.net_toggles);
-    EXPECT_EQ(got.net_functional, ref.net_functional);
-    EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
-    EXPECT_EQ(got.cycles, ref.cycles);
-  }
-}
-
 // sim.batch_event.live_lanes counts sample-carrying lanes, so its delta is
-// the sample count whatever the lane width: 24 samples (one sparse batch)
-// and 700 (eleven u64 batches, three AVX2 batches, two AVX-512 batches).
-TEST(SimBackendEquivalence, LiveLanesCountEverySampleOnEveryBackend) {
+// the sample count: 24 samples (one sparse batch) and 700 (eleven u64
+// batches).
+TEST(SimBackendEquivalence, LiveLanesCountEverySample) {
   const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
   const auto wl = svm_workload(
       q, random_samples(700, 3, q.input_format.max_code(), 43));
-  std::vector<Backend> backends = sim::available_backends();
-  backends.push_back(Backend::kAuto);
-  for (const Backend b : backends) {
-    SCOPED_TRACE(sim::backend_name(b));
-    for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
-      SCOPED_TRACE(n);
-      ActivityOptions opts;
-      opts.backend = b;
-      const obs::MetricsSnapshot before = obs::snapshot_metrics();
-      (void)collect_activity(circuit.module, lib,
-                             circuit.cycles_per_inference, wl, n, opts);
-      const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
-      EXPECT_EQ(delta.counter_value("sim.batch_event.live_lanes"), n);
-    }
+  for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
+    SCOPED_TRACE(n);
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)collect_activity(circuit.module, lib, circuit.cycles_per_inference,
+                           wl, n);
+    const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+    EXPECT_EQ(delta.counter_value("sim.batch_event.live_lanes"), n);
   }
 }
 
 // sim.batch.live_lanes is the zero-delay engine's occupancy counter: each
 // verification batch and each activity warm-up adds its sample-carrying
-// lanes.  So a verify and a replay each add their sample count, whatever
-// the lane width.
+// lanes.  So a verify adds its sample count whatever the lane width, and
+// so does a replay.
 TEST(SimBackendEquivalence, ZeroDelayLiveLanesCountEverySampleAndWarmup) {
   const QuantizedSvm q = random_svm(3, 3, 3, 4, 37);
   auto circuit = arch::build_sequential_svm(q);
@@ -453,31 +372,30 @@ TEST(SimBackendEquivalence, ZeroDelayLiveLanesCountEverySampleAndWarmup) {
     SCOPED_TRACE(sim::backend_name(b));
     VerifyOptions vopts;
     vopts.backend = b;
-    obs::MetricsSnapshot before = obs::snapshot_metrics();
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
     EXPECT_TRUE(verify_workload(circuit.module, circuit.cycles_per_inference,
                                 wl, vopts)
                     .ok());
     EXPECT_EQ(obs::diff_metrics(before, obs::snapshot_metrics())
                   .counter_value("sim.batch.live_lanes"),
               700u);
-    for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
-      SCOPED_TRACE(n);
-      ActivityOptions opts;
-      opts.backend = b;
-      opts.num_threads = 1;
-      before = obs::snapshot_metrics();
-      (void)collect_activity(circuit.module, lib,
-                             circuit.cycles_per_inference, wl, n, opts);
-      const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
-      EXPECT_EQ(delta.counter_value("sim.batch.live_lanes"), n);
-    }
+  }
+  for (const std::size_t n : {std::size_t{24}, std::size_t{700}}) {
+    SCOPED_TRACE(n);
+    ActivityOptions opts;
+    opts.num_threads = 1;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)collect_activity(circuit.module, lib, circuit.cycles_per_inference,
+                           wl, n, opts);
+    const auto delta = obs::diff_metrics(before, obs::snapshot_metrics());
+    EXPECT_EQ(delta.counter_value("sim.batch.live_lanes"), n);
   }
 }
 
 // The determinism contract at the report level: a whole evaluate_circuit
 // report does not depend on the backend (auto-dispatched or pinned) or on
-// the thread count.  24 power samples replay in one batch (auto picks
-// u64), 1500 in several (auto picks the widest backend).
+// the thread count.  The backend steers verification; the power replay
+// runs on u64 throughout, 24 samples in one batch and 1500 in 24.
 TEST(SimBackendEquivalence, EvaluateReportIgnoresBackendAndThreads) {
   ScopedBackendEnv no_override(nullptr);
   const auto lib = cells::CellLibrary::egfet();

@@ -668,10 +668,9 @@ TEST(CollectActivity, ThreadCountDoesNotChangeTheCounts) {
   const auto lib = cells::CellLibrary::egfet();
   const auto q = small_model();
   const auto circuit = arch::build_sequential_svm(q);
-  const auto wl = exhaustive_workload(q, 3);  // 192 samples
+  const auto wl = exhaustive_workload(q, 3);  // 192 samples: 3 batches
   ActivityOptions single;
   single.num_threads = 1;
-  single.backend = sim::Backend::kU64;  // 192 samples => 3 batches
   ActivityOptions multi = single;
   multi.num_threads = 4;
   const auto a = collect_activity(circuit.module, lib,
